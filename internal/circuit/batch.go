@@ -84,26 +84,11 @@ func (b *BatchStepper) Done() bool {
 
 // StepTo advances every lane through the steps that start before t, in
 // lane order, exactly as per-lane Simulator.StepTo calls would. It reports
-// whether all lanes have finished.
+// whether all lanes have finished. Lane failures are reported as
+// *LaneError.
 func (b *BatchStepper) StepTo(t float64) (bool, error) {
-	return b.StepToContext(nil, t)
-}
-
-// StepToContext is StepTo with cooperative cancellation: ctx (when
-// non-nil) is checked before each lane, and its error returned as soon as
-// it fires. A cancelled call leaves every lane in a valid resumable state
-// — each lane has either fully advanced to t or not started this call, and
-// lane warm states are only ever touched by the lane's own stepper — so a
-// later StepTo/StepToContext resumes bit-identically to an uninterrupted
-// run. Lane failures are reported as *LaneError.
-func (b *BatchStepper) StepToContext(ctx context.Context, t float64) (bool, error) {
 	done := true
 	for i, sim := range b.lanes {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return false, err
-			}
-		}
 		laneDone, err := sim.StepTo(t)
 		if err != nil {
 			return false, &LaneError{Lane: i, Err: err}
@@ -115,10 +100,16 @@ func (b *BatchStepper) StepToContext(ctx context.Context, t float64) (bool, erro
 	return done, nil
 }
 
-// StepToCountContext is StepToContext with the time bound pre-resolved
-// to an integer step target (see Simulator.StepToCount). Schedulers
-// stepping many lanes with a shared Step to shared epoch edges memoize
-// StepsFor once per edge and skip the per-lane float conversion.
+// StepToCountContext advances every lane through the steps with index
+// below n (see Simulator.StepToCount), with cooperative cancellation: ctx
+// (when non-nil) is checked before each lane, and its error returned as
+// soon as it fires. A cancelled call leaves every lane in a valid
+// resumable state — each lane has either fully advanced to n or not
+// started this call, and lane warm states are only ever touched by the
+// lane's own stepper — so a later call resumes bit-identically to an
+// uninterrupted run. Schedulers stepping many lanes with a shared Step to
+// shared epoch edges resolve StepsFor once per edge and skip the per-lane
+// float conversion. Lane failures are reported as *LaneError.
 func (b *BatchStepper) StepToCountContext(ctx context.Context, n int) (bool, error) {
 	done := true
 	for i, sim := range b.lanes {
@@ -150,8 +141,8 @@ func (b *BatchStepper) Outcomes() []*Outcome {
 // RunBatch runs every configuration to completion on a freshly allocated
 // slab and returns the outcomes in config order. Lanes run one at a time,
 // each to its own horizon, keeping the working set a single lane wide;
-// callers that need the lanes to share a clock use NewBatch + StepTo with
-// increasing epoch edges instead (internal/fleet).
+// callers that need the lanes to share a clock use NewBatch +
+// StepToCountContext with increasing epoch edges instead (internal/fleet).
 func RunBatch(cfgs []Config) ([]*Outcome, error) {
 	b, err := NewBatch(cfgs)
 	if err != nil {

@@ -157,7 +157,7 @@ func (c *cancelAfterCtx) Err() error {
 	return nil
 }
 
-// TestBatchCancelResumeParity: a StepToContext aborted mid-batch leaves
+// TestBatchCancelResumeParity: a StepToCountContext aborted mid-batch leaves
 // every lane resumable — finishing the interrupted batch later produces
 // outcomes bit-identical to an uninterrupted run. This is the contract
 // that lets a fleet epoch die on a cancelled request without corrupting
@@ -184,9 +184,9 @@ func TestBatchCancelResumeParity(t *testing.T) {
 	cancels := 0
 	for _, budget := range []int{3, 5} {
 		ctx := &cancelAfterCtx{Context: context.Background(), remaining: budget}
-		done, err := b.StepToContext(ctx, math.Inf(1))
+		done, err := b.StepToCountContext(ctx, steps)
 		if !errors.Is(err, context.Canceled) || done {
-			t.Fatalf("cancelled StepToContext returned done=%v err=%v", done, err)
+			t.Fatalf("cancelled StepToCountContext returned done=%v err=%v", done, err)
 		}
 		cancels++
 	}

@@ -34,6 +34,10 @@ var (
 	// ErrInvalidStep indicates a non-positive integration step or horizon.
 	ErrInvalidStep = errors.New("circuit: step and max time must be positive")
 
+	// ErrStepBudget indicates a horizon/step quotient that is not finite or
+	// exceeds MaxSteps.
+	ErrStepBudget = errors.New("circuit: step budget out of range")
+
 	// ErrInvalidClockLevel indicates a clock level that is negative, NaN or
 	// infinite.
 	ErrInvalidClockLevel = errors.New("circuit: clock levels must be finite and non-negative")
@@ -451,6 +455,11 @@ func initSimulator(sim *Simulator, cfg Config) error {
 	if cfg.Step <= 0 || cfg.MaxTime <= 0 {
 		return fmt.Errorf("%w: step=%g maxTime=%g", ErrInvalidStep, cfg.Step, cfg.MaxTime)
 	}
+	steps, err := StepsFor(cfg.MaxTime, cfg.Step)
+	if err != nil {
+		return err
+	}
+	sim.steps = steps
 	sim.state.cfg = cfg
 	if sim.state.cfg.Irradiance == nil {
 		sim.state.cfg.Irradiance = cfg.IrradianceSource.At

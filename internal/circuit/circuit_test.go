@@ -61,6 +61,42 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestStepBudgetLimit is the regression test for the two unchecked
+// budgets: a 1e13 s horizon at 20 µs (5e17 steps) used to reach a
+// makeslice panic in the fleet scheduler, and a 1e-300 s step overflowed
+// the int conversion into a negative budget that ran zero steps and
+// reported success. Both must now fail at construction, through New and
+// through NewBatch's lane attribution, while a budget of exactly MaxSteps
+// is accepted.
+func TestStepBudgetLimit(t *testing.T) {
+	base := testConfig(t, &FixedPoint{Supply: 0.5})
+	for _, tc := range []struct {
+		name          string
+		maxTime, step float64
+	}{
+		{"huge horizon", 1e13, 2e-5},
+		{"tiny step", 0.05, 1e-300},
+		{"NaN step", 0.05, math.NaN()},
+		{"infinite horizon", math.Inf(1), 2e-5},
+	} {
+		cfg := base
+		cfg.MaxTime, cfg.Step = tc.maxTime, tc.step
+		if _, err := New(cfg); !errors.Is(err, ErrStepBudget) {
+			t.Errorf("%s: New got %v, want ErrStepBudget", tc.name, err)
+		}
+		var le *LaneError
+		if _, err := NewBatch([]Config{base, cfg}); !errors.As(err, &le) || le.Lane != 1 || !errors.Is(err, ErrStepBudget) {
+			t.Errorf("%s: NewBatch got %v, want lane 1 ErrStepBudget", tc.name, err)
+		}
+	}
+	if n, err := StepsFor(MaxSteps, 1); err != nil || n != MaxSteps {
+		t.Errorf("StepsFor(MaxSteps, 1) = %d, %v; want %d, nil", n, err, MaxSteps)
+	}
+	if _, err := StepsFor(2*MaxSteps, 1); !errors.Is(err, ErrStepBudget) {
+		t.Errorf("StepsFor(2*MaxSteps, 1) got %v, want ErrStepBudget", err)
+	}
+}
+
 func TestEnergyConservation(t *testing.T) {
 	cfg := testConfig(t, &FixedPoint{Supply: 0.55})
 	e0 := cfg.Cap.Energy()

@@ -9,6 +9,7 @@ package circuit
 // engine's determinism contract and the golden/j-parity tests rest on.
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/trace"
@@ -20,6 +21,15 @@ import (
 // orders of magnitude of headroom while staying far below any fractional
 // step a caller could configure on purpose.
 const stepCountEps = 1e-12
+
+// MaxSteps is the largest step budget the kernel accepts: 2^53. Step k
+// starts at float64(k)*Step, and 2^53 is where float64 stops representing
+// every integer, so past it distinct step indices round onto one time
+// stamp; it is also where the float quotient behind a budget stops
+// converting to int exactly (on amd64 an out-of-range conversion even
+// turns negative and silently runs zero steps). Budgets above it are
+// therefore errors rather than wrong runs.
+const MaxSteps = 1 << 53
 
 // stepCount converts a (maxTime, step) pair into the integer step budget.
 // The naive int(math.Ceil(maxTime/step)) silently overshoots whenever the
@@ -36,10 +46,10 @@ func stepCount(maxTime, step float64) int {
 	return int(math.Ceil(x))
 }
 
-// Init prepares the stepper: it sizes the step budget and waveform buffer,
-// latches the comparator states from the starting voltage, and runs the
-// controller's Init hook. It is idempotent — StepTo calls it implicitly —
-// and must precede the first step.
+// Init prepares the stepper: it sizes the waveform buffer for the step
+// budget initSimulator validated, latches the comparator states from the
+// starting voltage, and runs the controller's Init hook. It is idempotent
+// — StepTo calls it implicitly — and must precede the first step.
 func (s *Simulator) Init() error {
 	if s.initialized {
 		return nil
@@ -48,7 +58,6 @@ func (s *Simulator) Init() error {
 	st := &s.state
 	cfg := &st.cfg
 
-	s.steps = stepCount(cfg.MaxTime, cfg.Step)
 	if cfg.TraceEvery > 0 {
 		// Pre-size the waveform so the step loop never grows it.
 		s.waveform = &Trace{Samples: make([]Sample, 0, s.steps/cfg.TraceEvery+1)}
@@ -111,11 +120,17 @@ func (s *Simulator) StepTo(t float64) (bool, error) {
 }
 
 // StepsFor converts a time bound into the integer step target StepTo
-// would derive from it, using the same integer-robust arithmetic.
-// Callers stepping many lanes to shared boundaries (the fleet epoch
-// scheduler) memoize this once per boundary and use StepToCount instead
-// of paying the conversion per lane per epoch.
-func StepsFor(t, step float64) int { return stepCount(t, step) }
+// would derive from it, using the same integer-robust arithmetic. A
+// quotient t/step that is NaN, negative or above MaxSteps is an
+// ErrStepBudget error. Callers stepping many lanes to a shared boundary
+// (the population engine's epochs) convert once per boundary and use
+// StepToCount instead of paying the conversion per lane.
+func StepsFor(t, step float64) (int, error) {
+	if x := t / step; !(x >= 0 && x <= MaxSteps) {
+		return 0, fmt.Errorf("%w: %g s at step %g s is %.3g steps (max 2^53)", ErrStepBudget, t, step, x)
+	}
+	return stepCount(t, step), nil
+}
 
 // StepToCount advances the simulation through every step with index
 // below n (capped at the step budget), with exactly StepTo's semantics:

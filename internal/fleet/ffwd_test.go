@@ -101,17 +101,14 @@ func TestFleetDarkActuallySkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := spec.Config().withDefaults()
-	nodes, err := buildNodes(cfg)
+	cfg := spec.Config()
+	_, res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := schedule(cfg, nodes); err != nil {
-		t.Fatal(err)
-	}
 	var skipped, executed int
-	for _, nd := range nodes {
-		p := nd.sim.Progress()
+	for _, sim := range res.Lanes {
+		p := sim.Progress()
 		skipped += p.StepsSkipped
 		executed += p.Steps - p.StepsSkipped
 	}
@@ -125,16 +122,13 @@ func TestFleetDarkActuallySkips(t *testing.T) {
 
 	// And the verbatim run must skip nothing.
 	cfg.NoFastForward = true
-	vnodes, err := buildNodes(cfg)
+	_, vres, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := schedule(cfg, vnodes); err != nil {
-		t.Fatal(err)
-	}
-	for _, nd := range vnodes {
-		if p := nd.sim.Progress(); p.StepsSkipped != 0 {
-			t.Fatalf("verbatim node %d skipped %d steps", nd.id, p.StepsSkipped)
+	for id, sim := range vres.Lanes {
+		if p := sim.Progress(); p.StepsSkipped != 0 {
+			t.Fatalf("verbatim node %d skipped %d steps", id, p.StepsSkipped)
 		}
 	}
 }
@@ -148,7 +142,7 @@ func TestFleetDarkTailIsExactlyZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := spec.Config().withDefaults()
-	ccfg, _, err := buildNodeConfig(cfg, 0)
+	ccfg, err := buildNodeConfig(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,12 +18,18 @@
 // finished (job complete or horizon reached) leaves the active set and
 // costs nothing in later epochs, so tails of long-running nodes do not pay
 // for the whole population.
+//
+// The build/step/reduce core is Population (engine.go), which
+// internal/scenario runs its populations on too; a fleet is its per-node
+// weather builder plus a barrier callback that records snapshots.
 package fleet
 
 import (
 	"context"
 	"fmt"
 
+	"repro/internal/circuit"
+	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/trace"
 )
@@ -112,12 +118,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Step <= 0 {
 		cfg.Step = DefaultStep
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	if cfg.Batch < 1 {
-		cfg.Batch = (cfg.Nodes + cfg.Workers - 1) / cfg.Workers
-	}
 	return cfg
 }
 
@@ -128,12 +128,71 @@ func (cfg Config) Spec() Spec {
 	return Spec{N: cfg.Nodes, Seed: cfg.Seed, Horizon: cfg.Horizon, Epoch: cfg.Epoch, Step: cfg.Step, Dark: cfg.Dark}
 }
 
+// Process-wide counters on the shared default registry: hemserved's
+// Prometheus scrape surfaces fleet activity (runs started, epoch barriers
+// crossed) without the fleet package knowing about HTTP. Scenario runs on
+// the same engine count in neither.
+var (
+	fleetRuns = metrics.Default().Counter("fleet_runs_total",
+		"Fleet runs started by any caller in the process.")
+	fleetEpochs = metrics.Default().Counter("fleet_epochs_total",
+		"Fleet epoch barriers crossed across all runs.")
+)
+
 // Run executes the fleet and returns its report.
 func Run(cfg Config) (*Report, error) {
+	rep, _, err := run(cfg)
+	return rep, err
+}
+
+// run is Run, also returning the finished population for tests that
+// inspect per-node stepping.
+func run(cfg Config) (*Report, *Result, error) {
 	cfg = cfg.withDefaults()
-	nodes, err := buildNodes(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
+	rep := &Report{Spec: cfg.Spec(), Hist: newHistogram(cfg.Horizon)}
+	fleetRuns.Inc()
+	if trace.On(cfg.Tracer) {
+		trace.Begin(cfg.Tracer, "fleet.run", 0, "fleet", trace.Args{
+			"n": cfg.Nodes, "seed": cfg.Seed, "horizon_s": cfg.Horizon, "epoch_s": cfg.Epoch,
+		})
 	}
-	return schedule(cfg, nodes)
+	res, err := Population{
+		Nodes: cfg.Nodes, Horizon: cfg.Horizon, Epoch: cfg.Epoch, Step: cfg.Step,
+		Workers: cfg.Workers, Batch: cfg.Batch, Ctx: cfg.Ctx,
+		Build: func(id int) (circuit.Config, error) { return buildNodeConfig(cfg, id) },
+		OnBarrier: func(snap Snapshot) {
+			rep.Snapshots = append(rep.Snapshots, snap)
+			fleetEpochs.Inc()
+			if trace.On(cfg.Tracer) {
+				trace.Counter(cfg.Tracer, "fleet.epoch", snap.Time, "fleet", trace.Args{
+					"active": snap.Active, "completed": snap.Completed,
+					"browned_out": snap.BrownedOut, "harvest_j": snap.Harvested,
+				})
+			}
+			if cfg.OnEpoch != nil {
+				cfg.OnEpoch(snap)
+			}
+		},
+		Profile: cfg.Profile, ProfileScope: cfg.ProfileScope, Label: nodeStream,
+	}.Run()
+	if err != nil {
+		return nil, nil, fmt.Errorf("fleet: %w", err)
+	}
+
+	rep.Completed, rep.BrownedOut = res.Completed, res.BrownedOut
+	rep.EnergyHarvested, rep.EnergyDelivered, rep.EnergyAux = res.EnergyHarvested, res.EnergyDelivered, res.EnergyAux
+	rep.MeanFinalVcap = res.MeanFinalVcap
+	rep.Unfinished = cfg.Nodes - rep.Completed
+	for _, sim := range res.Lanes {
+		if out := sim.Outcome(); out.Completed {
+			rep.Hist.add(out.CompletionTime)
+		}
+	}
+	if trace.On(cfg.Tracer) {
+		trace.End(cfg.Tracer, "fleet.run", cfg.Horizon, "fleet", trace.Args{
+			"completed": rep.Completed, "browned_out": rep.BrownedOut,
+			"harvest_j": rep.EnergyHarvested,
+		})
+	}
+	return rep, res, nil
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/trace"
 )
 
@@ -170,6 +171,42 @@ func TestFleetCancellation(t *testing.T) {
 	_, err := Run(Config{Nodes: 4, Seed: 1, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
+	}
+}
+
+// TestFleetStepBudgetLimit is the regression test for two specs ParseSpec
+// accepts but the kernel cannot run: a 1e13 s horizon (5e17 steps) used to
+// panic with makeslice in the scheduler's epoch table, and a 1e-300 s step
+// overflowed the budget into zero steps and reported a successful
+// "completed 0/1" run. Both must fail, attributed to a node.
+func TestFleetStepBudgetLimit(t *testing.T) {
+	for _, text := range []string{"n=1,horizon=1e13", "n=1,step=1e-300"} {
+		spec, err := ParseSpec(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		rep, err := Run(spec.Config())
+		if !errors.Is(err, circuit.ErrStepBudget) || rep != nil {
+			t.Errorf("%s: Run returned (%v, %v), want ErrStepBudget", text, rep, err)
+		}
+	}
+}
+
+// TestFleetHugeGeometryCancels: a horizon within the kernel's step budget
+// but with ~4e13 epochs must reach the first barrier — where a cancelled
+// context stops it — instead of pre-allocating per-epoch tables (which
+// panicked before the first barrier).
+func TestFleetHugeGeometryCancels(t *testing.T) {
+	spec, err := ParseSpec("n=1,horizon=1e11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := spec.Config()
+	cfg.Ctx = ctx
+	if _, err := Run(cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled huge-geometry run returned %v, want context.Canceled", err)
 	}
 }
 

@@ -1,15 +1,12 @@
 package scenario
 
-// The scenario engine: render the source once, build one circuit lane per
-// node in a contiguous batch slab, advance all lanes to the horizon on the
-// worker pool, and aggregate in node-ID order. Unlike the fleet scheduler
-// there are no epoch barriers — scenario populations are small and share
-// one environment, so a single StepToContext pass per lane group is both
-// the fastest and the simplest deterministic schedule.
+// The scenario engine: render the source once, then hand the per-node
+// builder to the population engine shared with internal/fleet, which lays
+// the lanes out in one slab, advances them to the horizon on the worker
+// pool and reduces in node-ID order.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -17,11 +14,11 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/cpu"
 	"repro/internal/fault"
+	"repro/internal/fleet"
 	"repro/internal/prof"
 	"repro/internal/pv"
 	"repro/internal/radio"
 	"repro/internal/reg"
-	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/weather"
@@ -90,12 +87,6 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	n := spec.Geometry.Nodes
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	if cfg.Batch < 1 {
-		cfg.Batch = (n + cfg.Workers - 1) / cfg.Workers
-	}
 
 	src, err := spec.SourceTrace()
 	if err != nil {
@@ -109,26 +100,21 @@ func Run(cfg Config) (*Report, error) {
 	rep.Source.DurationS = src.Duration()
 	rep.Source.Min, rep.Source.Mean, rep.Source.Max = src.Stats()
 
-	// Build the population. Everything here is a deterministic function of
-	// (spec, node id): trims, arrivals and the shared source are all stream-
-	// seeded, so build order cannot matter.
+	// Every node is a deterministic function of (spec, node id): trims,
+	// arrivals and the shared source are all stream-seeded, so the
+	// engine's parallel build order cannot matter. Each build writes only
+	// node i's report row and recorder.
 	tx := radio.New()
-	cfgs := make([]circuit.Config, n)
-	ctrls := make([]*sched.DeadlineController, n)
-	var leds []prof.Ledger
-	if cfg.Profile != nil {
-		leds = make([]prof.Ledger, n)
-	}
 	var recs []*trace.Recorder
 	if cfg.Tracer != nil {
 		recs = make([]*trace.Recorder, n)
 	}
-	horizon, step := spec.Geometry.HorizonS, spec.Geometry.StepS
-	for i := 0; i < n; i++ {
+	horizon := spec.Geometry.HorizonS
+	build := func(i int) (circuit.Config, error) {
 		trims := trimsFor(spec, i)
 		storage, err := cap.New(nodeCapacitance, trims.v0, nodeCapMax)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: node %d storage: %w", i, err)
+			return circuit.Config{}, fmt.Errorf("node %d storage: %w", i, err)
 		}
 		times := arrivalTimes(
 			rand.New(rand.NewSource(fault.StreamSeed(spec.Seed, nodeLabel(i), "arrivals"))),
@@ -139,17 +125,13 @@ func Run(cfg Config) (*Report, error) {
 		}
 		schedTx, err := tx.NewSchedule(packets)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: node %d radio: %w", i, err)
+			return circuit.Config{}, fmt.Errorf("node %d radio: %w", i, err)
 		}
-		aux := auxLoad(spec.Workload.AuxW, schedTx)
-		ctrl := &sched.DeadlineController{
-			Cycles:      spec.Workload.JobCycles,
-			Deadline:    spec.Workload.DeadlineFrac * horizon,
-			Sprint:      spec.Workload.Sprint,
-			AllowBypass: true,
+		rep.Nodes[i] = NodeResult{
+			ID: i, V0: trims.v0, Site: trims.site,
+			Events: len(times), RadioEnergyJ: schedTx.TotalEnergy(),
 		}
-		ctrls[i] = ctrl
-		cfgs[i] = circuit.Config{
+		ccfg := circuit.Config{
 			Cell: pv.NewCell(),
 			Proc: cpu.NewProcessor(),
 			Reg:  reg.NewSC(),
@@ -159,64 +141,39 @@ func Run(cfg Config) (*Report, error) {
 			// spans — kinetic dead time, indoor lights-out — instead of
 			// stepping them.
 			IrradianceSource: siteSource(src, trims.site),
-			Controller:       ctrl,
-			AuxLoad:          aux,
-			Step:             step,
-			MaxTime:          horizon,
-			JobCycles:        spec.Workload.JobCycles,
-		}
-		if leds != nil {
-			cfgs[i].Ledger = &leds[i]
+			Controller: &sched.DeadlineController{
+				Cycles:      spec.Workload.JobCycles,
+				Deadline:    spec.Workload.DeadlineFrac * horizon,
+				Sprint:      spec.Workload.Sprint,
+				AllowBypass: true,
+			},
+			AuxLoad:   auxLoad(spec.Workload.AuxW, schedTx),
+			JobCycles: spec.Workload.JobCycles,
 		}
 		if recs != nil {
 			recs[i] = trace.NewRecorder()
-			cfgs[i].Tracer = recs[i]
-			cfgs[i].TraceTrack = nodeLabel(i)
+			ccfg.Tracer = recs[i]
+			ccfg.TraceTrack = nodeLabel(i)
 		}
-		rep.Nodes[i] = NodeResult{
-			ID: i, V0: trims.v0, Site: trims.site,
-			Events: len(times), RadioEnergyJ: schedTx.TotalEnergy(),
-		}
+		return ccfg, nil
 	}
 
-	batch, err := circuit.NewBatch(cfgs)
+	// One epoch spanning the horizon: scenario populations share one
+	// environment and report no per-epoch series, so a single pass per
+	// lane group is the fastest deterministic schedule.
+	res, err := fleet.Population{
+		Nodes: n, Horizon: horizon, Epoch: horizon, Step: spec.Geometry.StepS,
+		Workers: cfg.Workers, Batch: cfg.Batch, Ctx: cfg.Ctx, Build: build,
+		Profile: cfg.Profile, ProfileScope: cfg.ProfileScope, Label: nodeLabel,
+	}.Run()
 	if err != nil {
-		var le *circuit.LaneError
-		if errors.As(err, &le) {
-			return nil, fmt.Errorf("scenario: node %d circuit: %w", le.Lane, le.Err)
-		}
-		return nil, err
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	lanes := make([]*circuit.Simulator, n)
-	for i := range lanes {
-		lanes[i] = batch.Lane(i)
-	}
-
-	// Advance every lane to the horizon in contiguous windows on the worker
-	// pool. Workers touch only their own window's lanes; all reads below
-	// happen after the pool drains, in node-ID order.
-	eff := cfg.Batch
-	if eff > n {
-		eff = n // mirror ForEachBatch's clamp so group indexing matches
-	}
-	groupErrs := make([]error, n)
-	runner.ForEachBatch(n, eff, cfg.Workers, func(lo, hi int) {
-		grp := circuit.Group(lanes[lo:hi])
-		_, groupErrs[lo/eff] = grp.StepToContext(cfg.Ctx, horizon)
-	})
-	for g := 0; g < (n+eff-1)/eff; g++ {
-		if err := groupErrs[g]; err != nil {
-			var le *circuit.LaneError
-			if errors.As(err, &le) {
-				return nil, fmt.Errorf("scenario: node %d: %w", g*eff+le.Lane, le.Err)
-			}
-			return nil, fmt.Errorf("scenario: run cancelled: %w", err)
-		}
-	}
-
-	// Aggregate in node-ID order.
-	for i := range lanes {
-		out := lanes[i].Outcome()
+	rep.Completed, rep.BrownedOut = res.Completed, res.BrownedOut
+	rep.EnergyHarvested, rep.EnergyDelivered, rep.EnergyAux = res.EnergyHarvested, res.EnergyDelivered, res.EnergyAux
+	rep.MeanFinalVcap = res.MeanFinalVcap
+	for i, sim := range res.Lanes {
+		out := sim.Outcome()
 		nr := &rep.Nodes[i]
 		nr.Completed = out.Completed
 		nr.CompletionTimeS = out.CompletionTime
@@ -224,19 +181,8 @@ func Run(cfg Config) (*Report, error) {
 		nr.EnergyHarvestedJ = out.EnergyHarvested
 		nr.EnergyAuxJ = out.EnergyAux
 		nr.FinalVcapV = out.FinalCapVoltage
-		rep.EnergyHarvested += out.EnergyHarvested
-		rep.EnergyDelivered += out.EnergyDelivered
-		rep.EnergyAux += out.EnergyAux
-		rep.MeanFinalVcap += out.FinalCapVoltage
 		rep.Events += nr.Events
-		if out.Completed {
-			rep.Completed++
-		}
-		if out.BrownedOut {
-			rep.BrownedOut++
-		}
 	}
-	rep.MeanFinalVcap /= float64(n)
 
 	// Trace: the run span wraps every node's events, merged in node order,
 	// so the stream is independent of workers and batch size.
@@ -255,18 +201,6 @@ func Run(cfg Config) (*Report, error) {
 			"completed": rep.Completed, "browned_out": rep.BrownedOut,
 			"harvest_j": rep.EnergyHarvested,
 		})
-	}
-
-	// Profile fold, in node-ID order like every other reduction.
-	if cfg.Profile != nil {
-		for i := range leds {
-			if leds[i].Empty() {
-				continue
-			}
-			cfg.Profile.Ledger(prof.Scope{
-				Experiment: cfg.ProfileScope, Node: nodeLabel(i),
-			}).Merge(&leds[i])
-		}
 	}
 	return rep, nil
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -157,6 +158,32 @@ func TestValidateRejectsNaN(t *testing.T) {
 		mutate(&spec)
 		if err := spec.Validate(); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestStepBudgetLimit: geometries the kernel cannot step — 5e17 steps, or
+// a 1e-300 s step whose budget used to overflow into a silent zero-step
+// run — are refused by Validate, hence by ParseScenario and Run, before
+// the source is rendered.
+func TestStepBudgetLimit(t *testing.T) {
+	for name, geom := range map[string]string{
+		"huge horizon": `{"nodes":1,"horizon_s":1e13,"step_s":2e-5}`,
+		"tiny step":    `{"nodes":1,"horizon_s":0.05,"step_s":1e-300}`,
+	} {
+		text := strings.Replace(demoSpec, `{"nodes":4,"horizon_s":1,"step_s":1e-4}`, geom, 1)
+		if _, err := ParseScenario([]byte(text)); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s: ParseScenario returned %v, want ErrBadSpec", name, err)
+		}
+		spec, err := ParseScenario([]byte(demoSpec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(geom), &spec.Geometry); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(Config{Spec: spec}); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s: Run returned %v, want ErrBadSpec", name, err)
 		}
 	}
 }

@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/circuit"
 )
 
 // Errors returned by this package.
@@ -326,6 +328,11 @@ func (s Spec) Validate() error {
 	if !posFinite(g.HorizonS) || !posFinite(g.StepS) || g.StepS > g.HorizonS {
 		return fmt.Errorf("%w: geometry horizon %g and step %g must be positive, finite, step <= horizon",
 			ErrBadSpec, g.HorizonS, g.StepS)
+	}
+	// The kernel's step-budget limit, checked here so a spec that could
+	// never run is refused before its source is rendered.
+	if _, err := circuit.StepsFor(g.HorizonS, g.StepS); err != nil {
+		return fmt.Errorf("%w: geometry: %v", ErrBadSpec, err)
 	}
 	return nil
 }
