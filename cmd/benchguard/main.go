@@ -6,8 +6,9 @@
 //   - sim (BENCH_sim.json): the simulation kernel — the warm-started PV
 //     solve versus the stateless bisection reference, the batched sweep
 //     solver at width 1 and 10k, a 2000-step circuit run with energy
-//     profiling off and on, a 16-lane circuit.RunBatch, and one full
-//     registry experiment end to end.
+//     profiling off and on, a 16-lane circuit.RunBatch, pv.Array's global
+//     MPP search under partial shading, and one full registry experiment
+//     end to end.
 //
 // It measures each path in-process, writes the measured ns/op to a JSON
 // file, and exits non-zero if any path regressed more than the tolerance
@@ -109,6 +110,14 @@ func simPaths() map[string]hotPath {
 	warmIdx, refIdx := 0, 0
 	rampVoltage := func(i int) float64 { return 0.95 + 1e-6*float64(i%1000) }
 
+	// ext-shading's graded pattern on its three-cell string: the array
+	// solve that once took over half of `hemsim all`.
+	arr, err := pv.NewArray([]*pv.Cell{pv.NewCell(), pv.NewCell(), pv.NewCell()})
+	if err != nil {
+		panic(err)
+	}
+	gradedShading := []float64{1.0, 0.5, 0.15}
+
 	// The batched sweep: the BenchmarkKernelBatch grid (10k points at 1 µV
 	// spacing around the knee) solved through SolveBatch in chunks. Width 1
 	// is a cold scalar solve per point; width 10k chains the walking solver
@@ -193,6 +202,13 @@ func simPaths() map[string]hotPath {
 			for i := 0; i < n; i++ {
 				benchSink = cell.CurrentReference(rampVoltage(refIdx), 0.8)
 				refIdx++
+			}
+			return nil
+		},
+		// The same body as pv's BenchmarkGlobalMPP.
+		"array_global_mpp": func(n int) error {
+			for i := 0; i < n; i++ {
+				_, benchSink = arr.GlobalMPP(gradedShading)
 			}
 			return nil
 		},

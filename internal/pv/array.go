@@ -52,20 +52,31 @@ func (a *Array) Segments() int { return len(a.segments) }
 
 // stringSolver caches per-segment open-circuit voltages and short-circuit
 // currents for one irradiance vector, so the nested bisections of the
-// public methods do not re-derive them at every probe.
+// public methods do not re-derive them at every probe. It also carries one
+// direct-solve state per segment (solves), which warm-starts each
+// segment's V(I) solve from its previous root: the scans and bisections of
+// the public methods probe neighbouring currents in long runs.
 type stringSolver struct {
-	arr  *Array
-	irrs []float64
-	vocs []float64
-	iscs []float64
+	arr    *Array
+	irrs   []float64
+	vocs   []float64
+	iscs   []float64
+	solves []segmentSolve
+
+	// reference routes every segment solve through
+	// segmentVoltageReference; the parity tests use it as the oracle for
+	// whole-string results.
+	reference bool
 }
 
 func (a *Array) newSolver(irradiances []float64) *stringSolver {
+	n := len(a.segments)
 	s := &stringSolver{
-		arr:  a,
-		irrs: make([]float64, len(a.segments)),
-		vocs: make([]float64, len(a.segments)),
-		iscs: make([]float64, len(a.segments)),
+		arr:    a,
+		irrs:   make([]float64, n),
+		vocs:   make([]float64, n),
+		iscs:   make([]float64, n),
+		solves: make([]segmentSolve, n),
 	}
 	for i, cell := range a.segments {
 		if i < len(irradiances) && irradiances[i] > 0 {
@@ -79,12 +90,33 @@ func (a *Array) newSolver(irradiances []float64) *stringSolver {
 
 // segmentVoltage returns the voltage across segment i when the string
 // carries `current`: the cell's own voltage if it can source the current,
-// otherwise the bypass diode clamps it at -bypassDrop.
+// otherwise the bypass diode clamps it at -bypassDrop. The result is
+// bit-identical to segmentVoltageReference; see segmentSolve for how.
 func (s *stringSolver) segmentVoltage(i int, current float64) float64 {
 	if s.irrs[i] <= 0 || current >= s.iscs[i] {
 		// Dark or over-driven: the bypass diode conducts.
 		return -s.arr.bypassDrop
 	}
+	if s.reference {
+		return s.segmentVoltageReference(i, current)
+	}
+	seg := &s.solves[i]
+	if !seg.ready {
+		seg.init(s.arr.segments[i], s.irrs[i], s.vocs[i], s.iscs[i])
+	}
+	if seg.direct && isFinite(current) {
+		if vstar, band, ok := seg.solve(current); ok {
+			return seg.replay(s.arr.segments[i], s.irrs[i], s.vocs[i], current, vstar, band)
+		}
+	}
+	return s.segmentVoltageReference(i, current)
+}
+
+// segmentVoltageReference is the original segment solve, kept verbatim as
+// the fallback and the correctness oracle: bisection on V over [0, Voc]
+// with a full Cell.Current solve at every probe. Callers have already
+// handled the dark and bypassed cases.
+func (s *stringSolver) segmentVoltageReference(i int, current float64) float64 {
 	cell := s.arr.segments[i]
 	lo, hi := 0.0, s.vocs[i]
 	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
@@ -175,7 +207,10 @@ func (a *Array) OpenCircuitVoltage(irradiances []float64) float64 {
 // refinement — a golden-section search alone can lock onto the wrong hump
 // under partial shading.
 func (a *Array) GlobalMPP(irradiances []float64) (voltage, power float64) {
-	s := a.newSolver(irradiances)
+	return a.newSolver(irradiances).globalMPP()
+}
+
+func (s *stringSolver) globalMPP() (voltage, power float64) {
 	voc := s.stringVoltage(0)
 	if voc <= 0 {
 		return 0, 0
@@ -217,7 +252,10 @@ func (a *Array) GlobalMPP(irradiances []float64) (voltage, power float64) {
 // dense scan — under partial shading there is one per differently-lit
 // segment group. Useful for demonstrating why local hill climbing fails.
 func (a *Array) LocalMPPs(irradiances []float64) []float64 {
-	s := a.newSolver(irradiances)
+	return a.newSolver(irradiances).localMPPs()
+}
+
+func (s *stringSolver) localMPPs() []float64 {
 	voc := s.stringVoltage(0)
 	if voc <= 0 {
 		return nil

@@ -190,10 +190,15 @@ func (c *Cell) OpenCircuitVoltage(irradiance float64) float64 {
 	return v[0]
 }
 
-// openCircuitVoltageUncached runs the Voc bisection directly.
+// openCircuitVoltageUncached runs the Voc bisection directly. Like every
+// solver in the package it is capped at maxSolverIterations: a calibration
+// whose bracket overflows (an enormous photocurrent or a subnormal
+// saturation current) would otherwise bisect [0, +Inf] forever. Converging
+// solves stop on the tolerance after ~25 iterations; the capped ones
+// return a non-finite Voc.
 func (c *Cell) openCircuitVoltageUncached(irradiance float64) float64 {
 	lo, hi := 0.0, 2.0*c.junctionScale()*math.Log(c.photoCurrent(irradiance)/c.saturationCurrent+1)
-	for hi-lo > voltageSolveTolerance {
+	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
 		mid := 0.5 * (lo + hi)
 		if c.Current(mid, irradiance) > 0 {
 			lo = mid

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDefaultCalibration(t *testing.T) {
@@ -276,5 +277,31 @@ func BenchmarkMPP(b *testing.B) {
 	c := NewCell()
 	for i := 0; i < b.N; i++ {
 		c.MPP(FullSun)
+	}
+}
+
+// TestOpenCircuitVoltageOverflowReturns: calibrations whose Voc bracket
+// overflows to +Inf used to spin the uncapped bisection forever. The solve
+// must return promptly, and with a non-finite value, not a plausible one.
+func TestOpenCircuitVoltageOverflowReturns(t *testing.T) {
+	cases := []struct {
+		name string
+		cell *Cell
+		irr  float64
+	}{
+		{"huge photocurrent", NewCell(WithPhotoCurrent(1e300)), 1e10},
+		{"subnormal saturation current", NewCell(WithSaturationCurrent(1e-320)), 1},
+	}
+	for _, tc := range cases {
+		done := make(chan float64, 1)
+		go func() { done <- tc.cell.OpenCircuitVoltage(tc.irr) }()
+		select {
+		case voc := <-done:
+			if !math.IsNaN(voc) && !math.IsInf(voc, 0) {
+				t.Errorf("%s: Voc = %v, want non-finite", tc.name, voc)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: OpenCircuitVoltage did not return", tc.name)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 
 	"repro/internal/expt"
@@ -437,19 +438,43 @@ func (s *Server) handlePVSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	cell := s.cellFor(req)
 	var resp pvSolveResponse
+	finite := false
 	if !s.gated(w, r, func() error {
 		resp.Irradiance = req.Irradiance
 		resp.VocV = cell.OpenCircuitVoltage(req.Irradiance)
 		resp.IscA = cell.ShortCircuitCurrent(req.Irradiance)
+		// A non-finite Voc means the solve bracket overflowed; the MPP
+		// and curve searches over it would be meaningless.
+		if !allFinite(resp.VocV, resp.IscA) {
+			return nil
+		}
 		resp.MPPVoltage, resp.MPPPower = cell.MPP(req.Irradiance)
+		finite = allFinite(resp.MPPVoltage, resp.MPPPower)
 		for _, p := range cell.Curve(req.Irradiance, req.Points) {
+			finite = finite && allFinite(p.Voltage, p.Current, p.Power)
 			resp.Curve = append(resp.Curve, pvPoint{V: p.Voltage, I: p.Current, P: p.Power})
 		}
 		return nil
 	}) {
 		return
 	}
+	if !finite {
+		// JSON cannot carry NaN or Inf, and no calibration that produces
+		// them describes a real cell.
+		httpError(w, http.StatusBadRequest, "cell calibration has no finite solution at this irradiance")
+		return
+	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// allFinite reports whether every x is neither NaN nor infinite.
+func allFinite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // mpptPlanRequest asks for a DVFS plan either directly from an input-power

@@ -252,6 +252,36 @@ func TestPVSolve(t *testing.T) {
 	}
 }
 
+// TestPVSolveOverflowRejected: finite JSON bodies whose calibration
+// overflows the Voc bracket used to hang the uncapped bisection, pinning a
+// gate slot and a CPU. They must now come back promptly as 400s.
+func TestPVSolveOverflowRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"irradiance":1e10,"photo_current_a":1e300,"points":16}`,
+		`{"irradiance":1,"saturation_current_a":1e-320,"points":16}`,
+	} {
+		done := make(chan int, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/api/v1/pv/solve", "application/json", strings.NewReader(body))
+			if err != nil {
+				done <- 0
+				return
+			}
+			resp.Body.Close()
+			done <- resp.StatusCode
+		}()
+		select {
+		case status := <-done:
+			if status != http.StatusBadRequest {
+				t.Errorf("body %s: status %d, want 400", body, status)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("body %s: no response", body)
+		}
+	}
+}
+
 func TestMPPTPlan(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	status, body := post(t, ts.URL+"/api/v1/mppt/plan", `{"pin_w":0.003}`)
