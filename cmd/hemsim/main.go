@@ -5,10 +5,13 @@
 // buffers are flushed in registry order, so the report bytes are identical
 // for every -j (only the trailing timing footer varies).
 //
-// With -faults the traced pass of chaos-capable experiments re-runs under
-// the fault plan in the given JSON file (internal/fault): brownout windows
-// cut the light, NVM faults tear checkpoints, and every injection lands in
-// the -trace output as a fault.* event. Same plan + same seed is
+// Each experiment runs once, with every observer the flags ask for
+// (-trace, -profile, -csv) attached to that one run. With -faults the
+// trace of chaos-capable experiments instead comes from a second pass under
+// the fault plan in the given JSON file (internal/fault) — a plan changes
+// the physics, so it cannot ride the run that writes the report: brownout
+// windows cut the light, NVM faults tear checkpoints, and every injection
+// lands in the -trace output as a fault.* event. Same plan + same seed is
 // byte-identical for every -j.
 //
 // With -fleet the command runs the shared-clock multi-node engine
@@ -35,9 +38,9 @@
 // source at it ({"kind":"trace","path":...}) reproduces the run byte for
 // byte.
 //
-// With -profile the profiled pass of profile-capable experiments re-runs
-// with an exact energy-and-time ledger attached to every integration step
-// and writes the merged result as a gzipped pprof profile: two sample
+// With -profile, profile-capable experiments run with an exact
+// energy-and-time ledger attached to every integration step and hemsim
+// writes the merged result as a gzipped pprof profile: two sample
 // types, sim_seconds and energy_joules, attributed along component/state
 // stacks (cpu/sprint, pv/harvest, ...). Render flamegraphs with
 // `go tool pprof -http=: <file>`. Profile bytes are byte-identical for
@@ -176,62 +179,45 @@ func run(args []string, stdout io.Writer) error {
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (use -list)", id)
 		}
-		job := runner.Job{ID: id, Run: e.Run}
-		if *csvDir != "" {
-			// CSV export re-runs the driver, so keep it inside the job to
-			// parallelise it too; each job writes its own file.
-			dir := *csvDir
-			run := job.Run
-			job.Run = func(w io.Writer) error {
-				if err := run(w); err != nil {
-					return err
-				}
-				return writeCSV(dir, id)
-			}
+		// One run per experiment carries every observer the flags ask for
+		// and the experiment supports. Each job fills its own slots, so the
+		// merge order (and so the output bytes) depend only on registry
+		// order, never on worker scheduling.
+		var o expt.Observe
+		var rec *trace.Recorder
+		if *traceFile != "" && e.Caps&expt.CapTrace != 0 {
+			rec = trace.NewRecorder()
+			o.Tracer = trace.Prefixed(rec, id)
 		}
-		if *traceFile != "" && e.Trace != nil {
-			// The traced pass re-runs the driver too; each job fills its own
-			// batch slot so the merge order (and so the output bytes) depend
-			// only on registry order, never on worker scheduling.
-			traced := e.Trace
-			if plan != nil && e.Chaos != nil {
-				// Under -faults the chaos pass replaces the traced pass:
-				// same event stream plus the plan's injections.
-				chaos := e.Chaos
-				traced = func(tr trace.Tracer) error { return chaos(*plan, tr) }
+		if *profileFile != "" && e.Caps&expt.CapProfile != 0 {
+			profiles[i] = prof.New()
+			o.Profile = profiles[i]
+		}
+		// A fault plan changes the physics and so the report: under
+		// -faults the events come from a second, chaos pass instead.
+		var chaos expt.Observe
+		if plan != nil && o.Tracer != nil && e.Caps&expt.CapChaos != 0 {
+			chaos, o.Tracer = expt.Observe{Tracer: o.Tracer, Plan: plan}, nil
+		}
+		csv := *csvDir != "" && e.Caps&expt.CapSeries != 0
+		work = append(work, runner.Job{ID: id, Run: func(w io.Writer) error {
+			series, err := e.Exec(w, o)
+			if err != nil {
+				return err
 			}
-			run := job.Run
-			job.Run = func(w io.Writer) error {
-				if err := run(w); err != nil {
-					return err
-				}
-				rec := trace.NewRecorder()
-				if err := traced(trace.Prefixed(rec, id)); err != nil {
+			if chaos.Plan != nil {
+				if _, err := e.Exec(nil, chaos); err != nil {
 					return fmt.Errorf("trace %s: %w", id, err)
 				}
+			}
+			if rec != nil {
 				batches[i] = rec.Events()
-				return nil
 			}
-		}
-		if *profileFile != "" && e.Profile != nil {
-			// The profiled pass re-runs the driver with ledgers attached;
-			// per-job profiles keep the hot loops worker-private and the
-			// merge deterministic (scopes are disjoint across experiments).
-			profiled := e.Profile
-			run := job.Run
-			job.Run = func(w io.Writer) error {
-				if err := run(w); err != nil {
-					return err
-				}
-				pp := prof.New()
-				if err := profiled(pp); err != nil {
-					return fmt.Errorf("profile %s: %w", id, err)
-				}
-				profiles[i] = pp
-				return nil
+			if csv {
+				return writeCSV(*csvDir, id, series)
 			}
-		}
-		work = append(work, job)
+			return nil
+		}})
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -337,16 +323,7 @@ func runScenario(specPath string, workers, batch int, traceFile, profileFile, cs
 		if name == "" {
 			name = "scenario"
 		}
-		path := filepath.Join(csvDir, name+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("create %s: %w", path, err)
-		}
-		defer f.Close()
-		if err := plot.WriteCSV(f, rep.Series()...); err != nil {
-			return fmt.Errorf("csv %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeCSV(csvDir, name, rep.Series()); err != nil {
 			return err
 		}
 	}
@@ -483,20 +460,15 @@ func writeTimingFooter(w io.Writer, timings []runner.Result, jobs int, wall time
 		len(timings), wall.Round(time.Millisecond), cpu.Round(time.Millisecond), speedup)
 }
 
-// writeCSV exports one experiment's series to <dir>/<id>.csv, skipping
-// experiments that only produce summary metrics.
-func writeCSV(dir, id string) error {
+// writeCSV exports one experiment's series to <dir>/<id>.csv.
+func writeCSV(dir, id string, series []plot.Series) error {
 	path := filepath.Join(dir, id+".csv")
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("create %s: %w", path, err)
 	}
 	defer f.Close()
-	if err := expt.WriteCSV(id, f); err != nil {
-		if errors.Is(err, expt.ErrNoSeries) {
-			os.Remove(path)
-			return nil
-		}
+	if err := plot.WriteCSV(f, series...); err != nil {
 		return fmt.Errorf("csv %s: %w", id, err)
 	}
 	return f.Close()

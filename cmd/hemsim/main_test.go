@@ -203,6 +203,73 @@ func TestTraceParityAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestCombinedFlagParity: one run per experiment carries -csv, -trace and
+// -profile together. Every artefact must be byte-identical across -j and
+// equal to the single-flag run that asks for it alone.
+func TestCombinedFlagParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("transient experiments")
+	}
+	const targets = "fig8,fig9b,ext-intermittent,headline"
+	// hemsimRun runs hemsim with the given flags in a fresh directory and
+	// returns stdout above the timing footer plus every file written,
+	// keyed by name relative to that directory.
+	hemsimRun := func(flags ...string) map[string][]byte {
+		t.Helper()
+		dir := t.TempDir()
+		for i, f := range flags {
+			flags[i] = strings.ReplaceAll(f, "DIR", dir)
+		}
+		var b strings.Builder
+		if err := run(append(flags, targets), &b); err != nil {
+			t.Fatalf("%v: %v", flags, err)
+		}
+		stdout, _, _ := strings.Cut(b.String(), "\n-- timing")
+		out := map[string][]byte{"stdout": []byte(stdout)}
+		err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+			if err != nil || info.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			rel, _ := filepath.Rel(dir, path)
+			out[rel] = data
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	combined := func(jobs string) map[string][]byte {
+		return hemsimRun("-j", jobs, "-csv", "DIR/csv", "-trace", "DIR/t.jsonl", "-profile", "DIR/p.pb.gz")
+	}
+	j1, j4 := combined("1"), combined("4")
+	want := []string{"stdout", "csv/fig8.csv", "csv/fig9b.csv", "t.jsonl", "p.pb.gz"}
+	if len(j1) != len(want) {
+		t.Errorf("combined run wrote %d artefacts, want %v", len(j1), want)
+	}
+	for _, name := range want {
+		if len(j1[name]) == 0 {
+			t.Errorf("%s: empty or missing", name)
+		}
+		if !bytes.Equal(j1[name], j4[name]) {
+			t.Errorf("%s differs between -j 1 and -j 4", name)
+		}
+	}
+	singles := []map[string][]byte{
+		hemsimRun("-j", "1", "-csv", "DIR/csv"),
+		hemsimRun("-j", "1", "-trace", "DIR/t.jsonl"),
+		hemsimRun("-j", "1", "-profile", "DIR/p.pb.gz"),
+	}
+	for _, single := range singles {
+		for name, data := range single {
+			if !bytes.Equal(data, j1[name]) {
+				t.Errorf("%s differs between the combined and the single-flag run", name)
+			}
+		}
+	}
+}
+
 // TestTraceWallSpans checks -trace-wall adds runner telemetry on the wall
 // clock without touching the deterministic sim events.
 func TestTraceWallSpans(t *testing.T) {

@@ -70,13 +70,13 @@ func usageError() error {
 
 // cmdList prints the experiments with traced runners.
 func cmdList(stdout io.Writer) error {
-	for _, id := range expt.TracedIDs() {
+	for _, id := range expt.IDs(expt.CapTrace) {
 		fmt.Fprintln(stdout, id)
 	}
 	return nil
 }
 
-// cmdRecord re-runs one traced experiment and writes its events.
+// cmdRecord runs one traced experiment and writes its events.
 func cmdRecord(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("hemtrace record", flag.ContinueOnError)
 	out := fs.String("o", "", "output file (default stdout)")
@@ -96,11 +96,15 @@ func cmdRecord(args []string, stdout io.Writer) error {
 	} else if isJSONExt(*out) {
 		f = trace.FormatChrome
 	}
-	events, err := expt.TraceEvents(fs.Arg(0))
+	body, err := expt.RenderTrace(fs.Arg(0), f)
 	if err != nil {
 		return err
 	}
-	return writeOut(*out, f, events, stdout)
+	if *out == "" {
+		_, err = stdout.Write(body)
+		return err
+	}
+	return os.WriteFile(*out, body, 0o644)
 }
 
 // cmdFilter keeps the events matching -kind / -track and re-emits JSONL.

@@ -58,7 +58,7 @@ func TestBatchScalarParity(t *testing.T) {
 				}
 			}
 
-			evA, err := TraceEvents(id)
+			evA, err := traceEvents(id, Observe{})
 			switch {
 			case errors.Is(err, ErrNoTrace):
 				return
@@ -68,7 +68,7 @@ func TestBatchScalarParity(t *testing.T) {
 			if err := trace.ValidateAll(evA); err != nil {
 				t.Fatalf("trace validation: %v", err)
 			}
-			evB, err := TraceEvents(id)
+			evB, err := traceEvents(id, Observe{})
 			if err != nil {
 				t.Fatalf("trace re-record: %v", err)
 			}

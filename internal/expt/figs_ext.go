@@ -16,6 +16,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/domains"
+	"repro/internal/fault"
+	"repro/internal/intermittent"
 	"repro/internal/pv"
 	"repro/internal/reg"
 	"repro/internal/sched"
@@ -215,10 +217,79 @@ type ExtIntermittentResult struct {
 }
 
 // ExtIntermittent runs a 6 M-cycle task on 3 ms-light/3 ms-dark power with
-// three checkpoint disciplines. The body lives in traced.go
-// (extIntermittent) so the traced registry path can reuse it.
-func ExtIntermittent() (*ExtIntermittentResult, error) {
-	return extIntermittent(nil)
+// three checkpoint disciplines.
+func ExtIntermittent() (*ExtIntermittentResult, error) { return extIntermittent(Observe{}) }
+
+// extIntermittentMaxTime bounds each policy's run (s); chaos brownout
+// windows resolve over the same horizon.
+const extIntermittentMaxTime = 800e-3
+
+// extIntermittent is the ExtIntermittent driver. Each checkpoint policy
+// records onto its own track of o's tracer and its own ledger of o's
+// profile. Under o's fault plan, brownout windows darken the blinking
+// profile and the plan's NVM section injects torn commit marks and restore
+// bit-rot into each executor; every policy resolves its faults on its own
+// deterministic stream.
+func extIntermittent(o Observe) (*ExtIntermittentResult, error) {
+	blink := func(t float64) float64 {
+		if math.Mod(t, 6e-3) < 3e-3 {
+			return 1.0
+		}
+		return 0
+	}
+	res := &ExtIntermittentResult{}
+	policies := []intermittent.Policy{
+		intermittent.NeverPolicy{},
+		intermittent.PeriodicPolicy{Interval: 0.4e6},
+		intermittent.VoltageTriggeredPolicy{Threshold: 0.70, MinUncommitted: 1e4},
+	}
+	for _, pol := range policies {
+		irr := blink
+		var faults intermittent.Faults
+		if o.Plan != nil {
+			in := fault.New(*o.Plan, "ext-intermittent/"+pol.Name())
+			b := in.Brownouts(extIntermittentMaxTime)
+			b.Emit(o.Tracer, pol.Name(), o.Plan.Seed)
+			irr = b.Wrap(blink)
+			if n := in.NVM(); n != nil {
+				faults = n
+			}
+		}
+		e := &intermittent.Executor{
+			Task:   intermittent.Task{TotalCycles: 6e6, StateBytes: 1024},
+			Policy: pol,
+			Supply: 0.50,
+			Faults: faults,
+		}
+		storage, err := cap.New(47e-6, 1.0, 2.0)
+		if err != nil {
+			return nil, err
+		}
+		sim, err := circuit.New(circuit.Config{
+			Cell:       pv.NewCell(),
+			Proc:       cpu.NewProcessor(),
+			Reg:        reg.NewSC(),
+			Cap:        storage,
+			Irradiance: irr,
+			Controller: e,
+			Step:       2e-6,
+			MaxTime:    extIntermittentMaxTime,
+			Tracer:     o.Tracer,
+			TraceTrack: pol.Name(),
+			Ledger:     profLedger(o.Profile, "ext-intermittent", pol.Name()),
+		})
+		if err != nil {
+			return nil, err
+		}
+		if _, err := sim.Run(); err != nil {
+			return nil, fmt.Errorf("policy %s: %w", pol.Name(), err)
+		}
+		res.Policies = append(res.Policies, pol.Name())
+		res.Completed = append(res.Completed, e.Stats.Completed)
+		res.Overheads = append(res.Overheads, e.Stats.CheckpointCycles+e.Stats.RestoreCycles)
+		res.Failures = append(res.Failures, e.Stats.Failures)
+	}
+	return res, nil
 }
 
 // Report implements reporter.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/pv"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // Transient scenario parameters shared by Fig. 9b/11b: a recognition job
@@ -44,15 +43,15 @@ type Fig8Result struct {
 
 // Fig8 steps the light from full sun to overcast and lets the tracker
 // re-estimate the input power from the V1->V2 crossing time.
-func Fig8() (*Fig8Result, error) { return fig8(nil, nil) }
+func Fig8() (*Fig8Result, error) { return fig8(Observe{}) }
 
-// fig8 is Fig8 with an optional event tracer attached to the manager and
-// the tracked run, and an optional energy profile (nil disables either at
+// fig8 is the Fig8 driver: o's tracer attaches to the manager and the
+// tracked run, o's profile to the run's ledger (nil disables either at
 // zero cost).
-func fig8(tracer trace.Tracer, p *prof.Profile) (*Fig8Result, error) {
+func fig8(o Observe) (*Fig8Result, error) {
 	c := DefaultComponents()
 	sys := core.NewSystem(c.Cell, c.Proc)
-	mgr := core.NewManager(sys, c.SC).WithTracer(tracer)
+	mgr := core.NewManager(sys, c.SC).WithTracer(o.Tracer)
 
 	// The tracking demo starts at full sun so the dimming step forces a
 	// large, estimable discharge through both comparator thresholds.
@@ -73,7 +72,7 @@ func fig8(tracer trace.Tracer, p *prof.Profile) (*Fig8Result, error) {
 
 	tr, err := mgr.RunTracked(core.TrackedRunConfig{
 		Cap:        storage,
-		Ledger:     profLedger(p, "fig8", ""),
+		Ledger:     profLedger(o.Profile, "fig8", ""),
 		Irradiance: circuit.StepIrradiance(fig8StartLevel, dimTo, 10e-3),
 		Levels:     []float64{1.0, 0.5, 0.25, 0.1, 0.05},
 		V1:         1.00,
@@ -177,12 +176,24 @@ type VariantOutcome struct {
 	Trace           *circuit.Trace
 }
 
-// runVariant executes one policy under the shared dimming scenario. The
-// tracer (nil to disable) records the run's events on a track named after
-// the variant, so multi-variant figures keep their runs distinguishable.
-// irr overrides the scenario's light profile (nil selects the standard
-// dimming ramp) — the chaos layer uses it to superimpose brownout windows.
-func runVariant(name string, sprint float64, bypass bool, traceEvery int, tracer trace.Tracer, irr func(float64) float64, led *prof.Ledger) (VariantOutcome, error) {
+// variantTraceEvery samples the per-variant waveforms sparsely enough not
+// to slow the runs while keeping the CSV export plottable.
+const variantTraceEvery = 100
+
+// runVariant executes one policy of an experiment under the shared dimming
+// scenario. o's tracer records the run's events on a track named after the
+// variant, so multi-variant figures keep their runs distinguishable; o's
+// profile gets a ledger scoped to (experiment, variant). o's fault plan
+// darkens the dimming ramp with brownout windows, resolved on the
+// variant's own deterministic stream and recorded as fault.* events on
+// the variant's track.
+func runVariant(o Observe, experiment, name string, sprint float64, bypass bool) (VariantOutcome, error) {
+	irr := circuit.RampIrradiance(demoStartLevel, demoDimLevel, demoDimStart, demoDimEnd)
+	if o.Plan != nil {
+		b := fault.New(*o.Plan, experiment+"/"+name).Brownouts(2 * demoDeadline)
+		b.Emit(o.Tracer, name, o.Plan.Seed)
+		irr = b.Wrap(irr)
+	}
 	c := DefaultComponents()
 	sys := core.NewSystem(c.Cell, c.Proc)
 	mgr := core.NewManager(sys, c.Buck) // the test chip integrates the buck
@@ -193,10 +204,6 @@ func runVariant(name string, sprint float64, bypass bool, traceEvery int, tracer
 		return VariantOutcome{}, err
 	}
 	e0 := storage.Energy()
-
-	if irr == nil {
-		irr = circuit.RampIrradiance(demoStartLevel, demoDimLevel, demoDimStart, demoDimEnd)
-	}
 	dr, err := mgr.RunDeadlineJob(core.DeadlineRunConfig{
 		Cap:            storage,
 		Irradiance:     irr,
@@ -206,12 +213,12 @@ func runVariant(name string, sprint float64, bypass bool, traceEvery int, tracer
 		Bypass:         bypass,
 		Step:           demoStep,
 		MaxTime:        2 * demoDeadline,
-		TraceEvery:     traceEvery,
+		TraceEvery:     variantTraceEvery,
 		StopOnBrownout: true,
 		StopOnDropout:  !bypass,
-		Tracer:         tracer,
+		Tracer:         o.Tracer,
 		TraceTrack:     name,
-		Ledger:         led,
+		Ledger:         profLedger(o.Profile, experiment, name),
 	})
 	if err != nil {
 		return VariantOutcome{}, fmt.Errorf("run %s: %w", name, err)
@@ -260,43 +267,25 @@ type Fig9bResult struct {
 	OpExtensionF float64        // as a fraction of the baseline operating time
 }
 
-// fig9bTraceEvery samples the per-variant waveforms sparsely enough not to
-// slow the four runs while keeping the CSV export plottable.
-const fig9bTraceEvery = 100
-
 // Fig9b runs the four policy variants under the dimming scenario.
-func Fig9b() (*Fig9bResult, error) { return fig9b(nil) }
+func Fig9b() (*Fig9bResult, error) { return fig9b(Observe{}) }
 
-// fig9b is Fig9b with an optional event tracer; each variant records onto
-// its own track.
-func fig9b(tracer trace.Tracer) (*Fig9bResult, error) { return fig9bChaos(tracer, nil, nil) }
-
-// fig9bChaos is fig9b under an optional fault plan (nil runs the benign
-// scenario): each variant's dimming ramp is darkened by the plan's brownout
-// windows, resolved on the variant's own deterministic stream and recorded
-// as fault.* events on the variant's track.
-func fig9bChaos(tracer trace.Tracer, plan *fault.Plan, p *prof.Profile) (*Fig9bResult, error) {
-	irr := func(variant string) func(float64) float64 {
-		if plan == nil {
-			return nil
-		}
-		b := fault.New(*plan, "fig9b/"+variant).Brownouts(2 * demoDeadline)
-		b.Emit(tracer, variant, plan.Seed)
-		return b.Wrap(circuit.RampIrradiance(demoStartLevel, demoDimLevel, demoDimStart, demoDimEnd))
-	}
-	baseline, err := runVariant("constant", 0, false, fig9bTraceEvery, tracer, irr("constant"), profLedger(p, "fig9b", "constant"))
+// fig9b is the Fig9b driver; each variant records onto its own track and
+// runs under o's fault plan (nil runs the benign scenario).
+func fig9b(o Observe) (*Fig9bResult, error) {
+	baseline, err := runVariant(o, "fig9b", "constant", 0, false)
 	if err != nil {
 		return nil, err
 	}
-	sprintOnly, err := runVariant("sprint", demoSprint, false, fig9bTraceEvery, tracer, irr("sprint"), profLedger(p, "fig9b", "sprint"))
+	sprintOnly, err := runVariant(o, "fig9b", "sprint", demoSprint, false)
 	if err != nil {
 		return nil, err
 	}
-	bypassOnly, err := runVariant("bypass", 0, true, fig9bTraceEvery, tracer, irr("bypass"), profLedger(p, "fig9b", "bypass"))
+	bypassOnly, err := runVariant(o, "fig9b", "bypass", 0, true)
 	if err != nil {
 		return nil, err
 	}
-	proposed, err := runVariant("sprint+bypass", demoSprint, true, fig9bTraceEvery, tracer, irr("sprint+bypass"), profLedger(p, "fig9b", "sprint+bypass"))
+	proposed, err := runVariant(o, "fig9b", "sprint+bypass", demoSprint, true)
 	if err != nil {
 		return nil, err
 	}
@@ -360,27 +349,15 @@ type Fig11bResult struct {
 }
 
 // Fig11b runs baseline and proposed policies with waveform tracing.
-func Fig11b() (*Fig11bResult, error) { return fig11b(nil) }
+func Fig11b() (*Fig11bResult, error) { return fig11b(Observe{}) }
 
-// fig11b is Fig11b with an optional event tracer; each policy records onto
-// its own track.
-func fig11b(tracer trace.Tracer) (*Fig11bResult, error) { return fig11bChaos(tracer, nil, nil) }
-
-// fig11bChaos is fig11b under an optional fault plan, as fig9bChaos.
-func fig11bChaos(tracer trace.Tracer, plan *fault.Plan, p *prof.Profile) (*Fig11bResult, error) {
-	irr := func(variant string) func(float64) float64 {
-		if plan == nil {
-			return nil
-		}
-		b := fault.New(*plan, "fig11b/"+variant).Brownouts(2 * demoDeadline)
-		b.Emit(tracer, variant, plan.Seed)
-		return b.Wrap(circuit.RampIrradiance(demoStartLevel, demoDimLevel, demoDimStart, demoDimEnd))
-	}
-	baseline, err := runVariant("w/o sprinting", 0, false, 100, tracer, irr("w/o sprinting"), profLedger(p, "fig11b", "w/o sprinting"))
+// fig11b is the Fig11b driver, observed as fig9b.
+func fig11b(o Observe) (*Fig11bResult, error) {
+	baseline, err := runVariant(o, "fig11b", "w/o sprinting", 0, false)
 	if err != nil {
 		return nil, err
 	}
-	proposed, err := runVariant("w/ sprinting+bypass", demoSprint, true, 100, tracer, irr("w/ sprinting+bypass"), profLedger(p, "fig11b", "w/ sprinting+bypass"))
+	proposed, err := runVariant(o, "fig11b", "w/ sprinting+bypass", demoSprint, true)
 	if err != nil {
 		return nil, err
 	}
@@ -424,6 +401,15 @@ func statusOf(v VariantOutcome) string {
 	default:
 		return "ran out of time"
 	}
+}
+
+// profLedger returns the ledger for (experiment, node) in p, or nil when
+// profiling is off — the nil that keeps the step loop allocation-free.
+func profLedger(p *prof.Profile, experiment, node string) *prof.Ledger {
+	if p == nil {
+		return nil
+	}
+	return p.Ledger(prof.Scope{Experiment: experiment, Node: node})
 }
 
 // traceSeries converts a waveform trace into node/supply voltage series in

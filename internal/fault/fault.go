@@ -203,13 +203,18 @@ func (p Plan) Validate() error {
 }
 
 // ParsePlan decodes and validates a plan. Unknown fields are rejected so
-// schema typos fail loudly instead of silently injecting nothing.
+// schema typos fail loudly instead of silently injecting nothing. An empty
+// brownouts list decodes as nil, the form json.Marshal omits, so an
+// accepted plan round-trips through its JSON form unchanged.
 func ParsePlan(data []byte) (Plan, error) {
 	var p Plan
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		return Plan{}, fmt.Errorf("%w: %v", ErrBadPlan, err)
+	}
+	if len(p.Brownouts) == 0 {
+		p.Brownouts = nil
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err

@@ -21,6 +21,7 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add(`{"version":1,"seed":-1}`)
 	f.Add(`{"source":{"kind":"kinetic","jitter":0.999}}`)
 	f.Add(`{"geometry":{"horizon_s":1e308}}`)
+	f.Add(`{"source":{"kind":"bench","level":0.5},"geometry":{"nodes":1,"horizon_s":1e11,"step_s":1e-4}}`)
 	f.Add(`[1,2,3]`)
 	f.Add("{\"name\":\"\u0000\"}")
 	f.Fuzz(func(t *testing.T, data string) {
@@ -30,6 +31,9 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("accepted spec fails Validate: %v\ninput: %q", err, data)
+		}
+		if n := spec.Geometry.HorizonS/spec.Geometry.StepS + 1; n > MaxSourceSamples {
+			t.Fatalf("accepted spec renders %g source samples, above %d\ninput: %q", n, MaxSourceSamples, data)
 		}
 		canon := spec.String()
 		back, err := ParseScenario([]byte(canon))

@@ -188,6 +188,30 @@ func TestStepBudgetLimit(t *testing.T) {
 	}
 }
 
+// TestSourceSampleLimit: a geometry inside the step budget whose light
+// trace would need 1e15 samples used to validate and then panic with
+// makeslice in weather.NewTrace; Validate now refuses it, hence
+// ParseScenario and Run, before the source is rendered.
+func TestSourceSampleLimit(t *testing.T) {
+	const text = `{"source":{"kind":"bench","level":0.5},"geometry":{"nodes":1,"horizon_s":1e11,"step_s":1e-4}}`
+	if _, err := ParseScenario([]byte(text)); !errors.Is(err, ErrBadSpec) {
+		t.Errorf("ParseScenario returned %v, want ErrBadSpec", err)
+	}
+	spec, err := ParseScenario([]byte(`{"source":{"kind":"bench","level":0.5}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Geometry.HorizonS, spec.Geometry.StepS = 1e11, 1e-4
+	if _, err := Run(Config{Spec: spec}); !errors.Is(err, ErrBadSpec) {
+		t.Errorf("Run returned %v, want ErrBadSpec", err)
+	}
+	// The bound itself is inclusive: exactly MaxSourceSamples samples pass.
+	spec.Geometry.HorizonS, spec.Geometry.StepS = (MaxSourceSamples-1)*1e-3, 1e-3
+	if err := spec.Validate(); err != nil {
+		t.Errorf("geometry at the bound rejected: %v", err)
+	}
+}
+
 // TestRecordReplayByteIdentity is the regression-pinning property the
 // trace format exists for: record the demo scenario's rendered source,
 // re-run the same spec with the source swapped for the recording, and the

@@ -164,6 +164,12 @@ const (
 // belong to the fleet engine's epoch scheduler.
 const MaxNodes = 100000
 
+// MaxSourceSamples bounds the light trace a spec renders before any step
+// runs, horizon_s/step_s + 1 samples (2^25, 256 MiB of float64). A
+// geometry inside the kernel's step budget can still ask for far more;
+// longer horizons need a coarser step.
+const MaxSourceSamples = 1 << 25
+
 // String renders the canonical compact-JSON form: defaults resolved,
 // struct field order fixed. Parsing the result yields the identical spec,
 // so canonical strings are stable cache keys.
@@ -333,6 +339,10 @@ func (s Spec) Validate() error {
 	// never run is refused before its source is rendered.
 	if _, err := circuit.StepsFor(g.HorizonS, g.StepS); err != nil {
 		return fmt.Errorf("%w: geometry: %v", ErrBadSpec, err)
+	}
+	if n := g.HorizonS/g.StepS + 1; n > MaxSourceSamples {
+		return fmt.Errorf("%w: geometry horizon %g / step %g renders %.3g source samples, above %d",
+			ErrBadSpec, g.HorizonS, g.StepS, n, MaxSourceSamples)
 	}
 	return nil
 }

@@ -41,7 +41,7 @@ func (s *Server) handleExperimentsList(w http.ResponseWriter, r *http.Request) {
 	registry := expt.Registry()
 	infos := make([]experimentInfo, 0, len(registry))
 	for _, id := range expt.Names() {
-		infos = append(infos, experimentInfo{ID: id, HasSeries: registry[id].Series != nil})
+		infos = append(infos, experimentInfo{ID: id, HasSeries: registry[id].Caps&expt.CapSeries != 0})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"experiments": infos})
 }
@@ -145,9 +145,9 @@ func (s *Server) handleExperimentGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExperimentTrace serves one experiment's simulation events, JSONL
-// by default or as a Chrome trace (?format=chrome). Traced re-runs are
-// deterministic, so responses cache like reports do; experiments without a
-// traced runner map to 422 (ErrNoTrace), mirroring the CSV contract.
+// by default or as a Chrome trace (?format=chrome). Traced runs are
+// deterministic, so responses cache like reports do; experiments without
+// CapTrace map to 422 (ErrNoTrace), mirroring the CSV contract.
 func (s *Server) handleExperimentTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	format := r.URL.Query().Get("format")
@@ -189,8 +189,8 @@ func (s *Server) handleExperimentTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleExperimentProfile serves one experiment's energy-flow profile as
 // gzipped pprof protobuf bytes (`go tool pprof` reads the response body
-// directly). Profiled re-runs are deterministic, so responses cache like
-// reports and traces; experiments without a profiled runner map to 422
+// directly). Profiled runs are deterministic, so responses cache like
+// reports and traces; experiments without CapProfile map to 422
 // (ErrNoProfile), mirroring the trace contract.
 func (s *Server) handleExperimentProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")

@@ -74,12 +74,12 @@ func TestExperimentsList(t *testing.T) {
 	if len(resp.Experiments) != len(expt.Names()) {
 		t.Fatalf("listed %d experiments, registry has %d", len(resp.Experiments), len(expt.Names()))
 	}
-	noSeries := make(map[string]bool)
-	for _, id := range expt.NoSeriesIDs() {
-		noSeries[id] = true
+	hasSeries := make(map[string]bool)
+	for _, id := range expt.IDs(expt.CapSeries) {
+		hasSeries[id] = true
 	}
 	for _, e := range resp.Experiments {
-		if e.HasSeries == noSeries[e.ID] {
+		if e.HasSeries != hasSeries[e.ID] {
 			t.Errorf("%s: has_series=%v disagrees with registry", e.ID, e.HasSeries)
 		}
 	}
