@@ -21,6 +21,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/fleet"
 	"repro/internal/mppt"
+	"repro/internal/prof"
 	"repro/internal/pv"
 	"repro/internal/reg"
 	"repro/internal/sched"
@@ -755,7 +756,10 @@ func BenchmarkFleetRun(b *testing.B) {
 // provably-inert fixed point. The ffwd sub-benchmark skips those spans
 // (O(events) per epoch per dead node); noffwd steps them verbatim. Both
 // produce byte-identical reports — the whole point — so nodes/s is the
-// only number that moves.
+// only number that moves. The profiled sub-benchmark is ffwd with an
+// energy profile attached: the ledger rides the skip path, so it should
+// cost little more than ffwd (benchguard's fleet_dark_profiled guards
+// the ratio).
 //
 // Geometry note: a verbatim step through a collapsed node is already
 // cheap (the kernel short-circuits), so the skip only dominates once the
@@ -768,13 +772,17 @@ func BenchmarkFleetDark(b *testing.B) {
 		Nodes: 10000, Seed: 1, Horizon: 10.0, Epoch: 0.1, Step: 2e-4, Dark: 0.99,
 	}
 	for _, mode := range []struct {
-		name string
-		noFF bool
-	}{{"ffwd", false}, {"noffwd", true}} {
+		name     string
+		noFF     bool
+		profiled bool
+	}{{"ffwd", false, false}, {"noffwd", true, false}, {"profiled", false, true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := base
 			cfg.NoFastForward = mode.noFF
 			for i := 0; i < b.N; i++ {
+				if mode.profiled {
+					cfg.Profile = prof.New()
+				}
 				if _, err := fleet.Run(cfg); err != nil {
 					b.Fatal(err)
 				}

@@ -7,7 +7,8 @@
 //     solve versus the stateless bisection reference, the batched sweep
 //     solver at width 1 and 10k, a 2000-step circuit run with energy
 //     profiling off and on, a 16-lane circuit.RunBatch, pv.Array's global
-//     MPP search under partial shading, and one full registry experiment
+//     MPP search under partial shading, a mostly-dark fleet with
+//     fast-forward on, off and profiled, and one full registry experiment
 //     end to end.
 //
 // It measures each path in-process, writes the measured ns/op to a JSON
@@ -289,28 +290,32 @@ func simPaths() map[string]hotPath {
 		// geometry at 50 nodes. The pair pins the skip path's speedup in
 		// the baseline — fleet_dark_noffwd / fleet_dark_ffwd is the
 		// recorded ratio, and fleet_dark_ffwd alone guards the skip
-		// machinery against regressions.
-		"fleet_dark_ffwd": func(n int) error {
-			for i := 0; i < n; i++ {
-				if _, err := fleet.Run(fleet.Config{
-					Nodes: 50, Seed: 1, Horizon: 10.0, Epoch: 0.1, Step: 2e-4, Dark: 0.99,
-				}); err != nil {
-					return err
-				}
+		// machinery against regressions. fleet_dark_profiled attaches an
+		// energy profile to the ffwd geometry: the ledger rides the skip
+		// path, so fleet_dark_profiled / fleet_dark_ffwd stays near 1.
+		"fleet_dark_ffwd":     darkFleet(false, false),
+		"fleet_dark_noffwd":   darkFleet(true, false),
+		"fleet_dark_profiled": darkFleet(false, true),
+	}
+}
+
+// darkFleet runs the fleet_dark_* geometry: 50 nodes, 99% dark over a
+// 10 s horizon, optionally verbatim or with an energy profile attached.
+func darkFleet(noFF, profiled bool) hotPath {
+	return func(n int) error {
+		for i := 0; i < n; i++ {
+			cfg := fleet.Config{
+				Nodes: 50, Seed: 1, Horizon: 10.0, Epoch: 0.1, Step: 2e-4, Dark: 0.99,
+				NoFastForward: noFF,
 			}
-			return nil
-		},
-		"fleet_dark_noffwd": func(n int) error {
-			for i := 0; i < n; i++ {
-				if _, err := fleet.Run(fleet.Config{
-					Nodes: 50, Seed: 1, Horizon: 10.0, Epoch: 0.1, Step: 2e-4, Dark: 0.99,
-					NoFastForward: true,
-				}); err != nil {
-					return err
-				}
+			if profiled {
+				cfg.Profile = prof.New()
 			}
-			return nil
-		},
+			if _, err := fleet.Run(cfg); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }
 

@@ -228,7 +228,10 @@ type Config struct {
 	// otherwise the phase the controller declared via SetProfilePhase) and
 	// the step's harvest/reverse/loss/aux energy in the matching flow bins.
 	// Nil disables profiling: the step loop then pays one nil comparison
-	// per step and allocates nothing (see prof package doc).
+	// per step and allocates nothing (see prof package doc). A ledger
+	// does not turn fast-forward off: a skipped span is credited to
+	// dead/brownout one dt per step, bitwise as the verbatim steps would
+	// have (proof obligation 7 in ffwd.go).
 	Ledger *prof.Ledger
 
 	// StopOnBrownout ends the run at the first processor halt when true;
@@ -237,11 +240,10 @@ type Config struct {
 
 	// NoFastForward disables event-horizon fast-forward even when an
 	// IrradianceSource and a Quiescent controller are present, forcing
-	// verbatim stepping. Output is byte-identical either way (the
-	// differential parity suite enforces it); the flag exists for that
-	// suite and for debugging. Fast-forward is also disabled implicitly
-	// when Ledger is set: the profiler folds per-step dt into time bins
-	// and batching those adds would change accumulator bit patterns.
+	// verbatim stepping. Output is byte-identical either way — Outcome,
+	// waveform, events and, when Ledger is set, every ledger bin (the
+	// differential parity suites enforce it); the flag exists for those
+	// suites and for debugging.
 	NoFastForward bool
 }
 
@@ -388,8 +390,9 @@ func (s *State) SetBypass(on bool) { s.bypass = on }
 // SetProfilePhase declares the workload phase subsequent steps' time and
 // load energy are attributed to when profiling is on (cpu/active,
 // cpu/sprint, intermittent/checkpoint, ...). Like every controller
-// command it takes effect from the next step. A no-op without a Ledger —
-// controllers may call it unconditionally.
+// command it takes effect from the next step, and a Quiescent controller
+// must bound its horizon before any step where it would call it. A no-op
+// without a Ledger — controllers may call it unconditionally.
 func (s *State) SetProfilePhase(b prof.Bin) { s.profPhase = b }
 
 // ProfilePhase returns the last declared workload phase.

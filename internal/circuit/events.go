@@ -23,7 +23,12 @@ type EventSource interface {
 // long as the circuit state observable through s stays bitwise frozen
 // and OnStep is NOT called, every step before T would have left the
 // controller's commands, internal latches, and trace output exactly as
-// they are now. Returning T <= s.Time() makes no claim (no skip).
+// they are now. SetProfilePhase counts as a command: a controller that
+// would switch its profile phase at some step must return a horizon no
+// later than that step (sched.DeadlineController stops at its sprint
+// handoff), so the phase switch executes verbatim and a profiled run's
+// ledger sees it on time. Returning T <= s.Time() makes no claim (no
+// skip).
 //
 // Controllers that do not implement Quiescent are never fast-forwarded
 // — the conservative default is verbatim stepping.

@@ -33,7 +33,22 @@ package circuit
 //     automaton is idempotent at a constant input.
 //  6. The controller vouches, via Quiescent.QuiescentUntil, that
 //     skipping its OnStep calls before the returned horizon is
-//     unobservable (no latches, commands, or trace output).
+//     unobservable (no latches, commands — SetProfilePhase included —
+//     or trace output).
+//  7. The energy ledger, when attached, sees what the skipped steps
+//     would have credited (profileSkip replays it). By 1–3 each skipped
+//     profileStep is halted — its time bin is dead/brownout, whatever
+//     phase the controller declared — with loadPow = ±0, solarPow = 0,
+//     inputPow − loadPow = 0 and aux = 0, so no flow bin moves and the
+//     step does exactly Seconds[BinDead] += dt and Joules[BinDead] +=
+//     ±0·dt. The dt adds are replayed one per skipped step, in step
+//     order (k·dt is not bitwise k repeated adds). The joule add is a
+//     no-op: an accumulator that starts at +0 and only ever has values
+//     added to it cannot reach −0 in round-to-nearest (x + y is −0 only
+//     when both are −0), and x + ±0 == x bitwise for every other x.
+//     profileSkip still performs it once, since adding a signed zero is
+//     idempotent and one add therefore stands for any number of them
+//     even on a caller-seeded −0.
 //
 // The skip stops at the earliest of: the source's NextChange, the
 // controller's quiescence horizon, the next due waveform sample
@@ -150,6 +165,9 @@ func (s *Simulator) tryFastForward(target int) {
 			"from_s": now, "to_s": float64(m-1) * cfg.Step,
 			"steps": skipped, "reason": reason,
 		})
+	}
+	if led := cfg.Ledger; led != nil {
+		s.profileSkip(led, skipped)
 	}
 	s.next = m
 	st.time = float64(m-1) * cfg.Step

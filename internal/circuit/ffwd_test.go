@@ -240,7 +240,11 @@ func TestFastForwardPropertyParity(t *testing.T) {
 					Depth:     depth,
 				})
 			}
-			src = fault.New(plan, "ffwd-prop").Brownouts(horizon).WrapSource(src)
+			b, err := fault.New(plan, "ffwd-prop").Brownouts(horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src = b.WrapSource(src)
 		}
 
 		aux := 0.0

@@ -40,3 +40,18 @@ func (s *Simulator) profileStep(led *prof.Ledger, aux float64) {
 		led.AddEnergy(prof.BinRadioTx, aux*dt)
 	}
 }
+
+// profileSkip credits n fast-forwarded steps to the ledger, bitwise as n
+// profileStep calls would have (proof obligation 7 in ffwd.go): the node
+// is halted, so each step lands dt in dead/brownout with a signed-zero
+// load energy and no flow. The dt adds run one per step, in step order;
+// one joule add stands for n because adding a signed zero is idempotent.
+func (s *Simulator) profileSkip(led *prof.Ledger, n int) {
+	dt := s.state.cfg.Step
+	led.Joules[prof.BinDead] += s.state.loadPow * dt
+	sec := led.Seconds[prof.BinDead]
+	for ; n > 0; n-- {
+		sec += dt
+	}
+	led.Seconds[prof.BinDead] = sec
+}

@@ -48,8 +48,10 @@ func stepCount(maxTime, step float64) int {
 
 // Init prepares the stepper: it sizes the waveform buffer for the step
 // budget initSimulator validated, latches the comparator states from the
-// starting voltage, and runs the controller's Init hook. It is idempotent
-// — StepTo calls it implicitly — and must precede the first step.
+// starting voltage, runs the controller's Init hook and latches whether
+// the run qualifies for fast-forward (an attached Ledger does not change
+// that). It is idempotent — StepTo calls it implicitly — and must precede
+// the first step.
 func (s *Simulator) Init() error {
 	if s.initialized {
 		return nil
@@ -80,11 +82,12 @@ func (s *Simulator) Init() error {
 	s.prevHalted = false
 
 	// Event-horizon fast-forward qualifies only when the input's horizon
-	// is knowable (IrradianceSource), the controller can vouch for its own
-	// inertness (Quiescent), and no per-step profiling is folding dt into
-	// accumulators (Ledger) — see tryFastForward (ffwd.go) for the
-	// fixed-point proof obligations.
-	s.ffwd = !cfg.NoFastForward && cfg.Ledger == nil && cfg.IrradianceSource != nil
+	// is knowable (IrradianceSource) and the controller can vouch for its
+	// own inertness (Quiescent) — see tryFastForward (ffwd.go) for the
+	// fixed-point proof obligations. An attached Ledger does not disqualify
+	// a run: a skip credits its span to the ledger exactly as the skipped
+	// steps would have (profileSkip).
+	s.ffwd = !cfg.NoFastForward && cfg.IrradianceSource != nil
 	if s.ffwd {
 		if q, ok := cfg.Controller.(Quiescent); ok {
 			s.quiescent = q

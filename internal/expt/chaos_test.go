@@ -48,6 +48,23 @@ func TestRunChaosErrors(t *testing.T) {
 	}
 }
 
+// TestChaosUnboundedPlanRefused: a plan whose periodic pulse resolves to
+// more than fault.MaxWindows windows over a driver's horizon makes every
+// chaos-capable experiment return fault.ErrBadPlan. Before the bound it
+// ran the process out of memory.
+func TestChaosUnboundedPlanRefused(t *testing.T) {
+	plan := fault.Plan{Seed: 1, Brownouts: []fault.Pulse{{AtS: 0, DurationS: 1e-12, EveryS: 1e-12}}}
+	for _, id := range IDs(CapChaos) {
+		var buf bytes.Buffer
+		if _, err := lookup(id).Exec(&buf, Observe{Plan: &plan}); !errors.Is(err, fault.ErrBadPlan) {
+			t.Errorf("%s: err = %v, want fault.ErrBadPlan", id, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: wrote %d report bytes for a refused plan", id, buf.Len())
+		}
+	}
+}
+
 func TestChaosEventsDeterministic(t *testing.T) {
 	a, err := chaosEvents("ext-intermittent")
 	if err != nil {

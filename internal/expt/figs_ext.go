@@ -248,7 +248,10 @@ func extIntermittent(o Observe) (*ExtIntermittentResult, error) {
 		var faults intermittent.Faults
 		if o.Plan != nil {
 			in := fault.New(*o.Plan, "ext-intermittent/"+pol.Name())
-			b := in.Brownouts(extIntermittentMaxTime)
+			b, err := in.Brownouts(extIntermittentMaxTime)
+			if err != nil {
+				return nil, err
+			}
 			b.Emit(o.Tracer, pol.Name(), o.Plan.Seed)
 			irr = b.Wrap(blink)
 			if n := in.NVM(); n != nil {

@@ -190,7 +190,10 @@ const variantTraceEvery = 100
 func runVariant(o Observe, experiment, name string, sprint float64, bypass bool) (VariantOutcome, error) {
 	irr := circuit.RampIrradiance(demoStartLevel, demoDimLevel, demoDimStart, demoDimEnd)
 	if o.Plan != nil {
-		b := fault.New(*o.Plan, experiment+"/"+name).Brownouts(2 * demoDeadline)
+		b, err := fault.New(*o.Plan, experiment+"/"+name).Brownouts(2 * demoDeadline)
+		if err != nil {
+			return VariantOutcome{}, err
+		}
 		b.Emit(o.Tracer, name, o.Plan.Seed)
 		irr = b.Wrap(irr)
 	}

@@ -47,6 +47,15 @@ func Injectedf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrInjected, fmt.Sprintf(format, args...))
 }
 
+// MaxWindows bounds how many brownout windows one plan may resolve to on
+// one stream: the random count plus every explicit pulse and each of its
+// repetitions up to the horizon. A window is three float64s, so the bound
+// caps a resolve at about 24 MiB of windows. A random count above it fails Validate; a
+// periodic pulse whose repetitions exceed it over the requested horizon
+// fails Injector.Brownouts. Both return ErrBadPlan instead of allocating
+// a window per pulse without limit.
+const MaxWindows = 1 << 20
+
 // Pulse is one brownout window: between AtS and AtS+DurationS the ambient
 // light is multiplied by Depth (0 = total darkness, the default). EveryS,
 // when positive, repeats the pulse with that period up to the horizon —
@@ -91,6 +100,8 @@ func (r RandomPulses) validate() error {
 	switch {
 	case r.Count < 0:
 		return fmt.Errorf("%w: random_brownouts count %d < 0", ErrBadPlan, r.Count)
+	case r.Count > MaxWindows:
+		return fmt.Errorf("%w: random_brownouts count %d > %d", ErrBadPlan, r.Count, MaxWindows)
 	case r.Count > 0 && r.MeanDurationS <= 0:
 		return fmt.Errorf("%w: random_brownouts mean_duration_s %g <= 0", ErrBadPlan, r.MeanDurationS)
 	case r.Depth < 0 || r.Depth >= 1:

@@ -42,6 +42,7 @@ func TestParsePlanRejects(t *testing.T) {
 		"self-overlap":       `{"brownouts": [{"at_s": 0, "duration_s": 2, "every_s": 1}]}`,
 		"depth 1":            `{"brownouts": [{"at_s": 0, "duration_s": 1, "depth": 1}]}`,
 		"random no duration": `{"random_brownouts": {"count": 2}}`,
+		"random count 1e12":  `{"seed": 1, "random_brownouts": {"count": 1000000000000, "mean_duration_s": 0.001}}`,
 		"nvm prob":           `{"nvm": {"torn_write_prob": 1.5}}`,
 		"nvm every":          `{"nvm": {"fail_every_n": -1}}`,
 		"serve prob":         `{"serve": {"error_prob": -0.1}}`,
@@ -52,6 +53,52 @@ func TestParsePlanRejects(t *testing.T) {
 		if _, err := fault.ParsePlan([]byte(body)); !errors.Is(err, fault.ErrBadPlan) {
 			t.Errorf("%s: got %v, want ErrBadPlan", name, err)
 		}
+	}
+}
+
+// TestWindowBound pins MaxWindows at both ends. A random count above it
+// fails validation (it used to allocate one window per pulse, 10^12 of
+// them for the plan below). A periodic pulse that repeats more often
+// over the horizon fails Brownouts with ErrBadPlan before allocating.
+// Plans at the bound still resolve.
+func TestWindowBound(t *testing.T) {
+	huge := fault.Plan{Seed: 1, Random: &fault.RandomPulses{Count: 1_000_000_000_000, MeanDurationS: 1e-3}}
+	if err := huge.Validate(); !errors.Is(err, fault.ErrBadPlan) {
+		t.Errorf("random count 1e12: Validate = %v, want ErrBadPlan", err)
+	}
+	atBound := fault.Plan{Random: &fault.RandomPulses{Count: fault.MaxWindows, MeanDurationS: 1e-9}}
+	if err := atBound.Validate(); err != nil {
+		t.Errorf("random count at the bound refused: %v", err)
+	}
+	atBound.Random.Count++
+	if err := atBound.Validate(); !errors.Is(err, fault.ErrBadPlan) {
+		t.Errorf("random count MaxWindows+1: Validate = %v, want ErrBadPlan", err)
+	}
+
+	dense := fault.Plan{Seed: 1, Brownouts: []fault.Pulse{{AtS: 0, DurationS: 1e-12, EveryS: 1e-12}}}
+	if err := dense.Validate(); err != nil {
+		t.Fatalf("the dense plan is horizon-dependent and must validate: %v", err)
+	}
+	if b, err := fault.New(dense, "x").Brownouts(1.0); !errors.Is(err, fault.ErrBadPlan) || b != nil {
+		t.Errorf("1e12 periodic windows: Brownouts = (%v, %v), want (nil, ErrBadPlan)", b, err)
+	}
+
+	// Unit-period pulses: a horizon of MaxWindows resolves exactly
+	// MaxWindows windows; one more period is one window too many.
+	periodic := fault.Plan{Brownouts: []fault.Pulse{{AtS: 0, DurationS: 0.5, EveryS: 1}}}
+	if got := len(resolve(t, periodic, "x", fault.MaxWindows).Windows()); got != fault.MaxWindows {
+		t.Errorf("periodic plan at the bound resolved %d windows, want %d", got, fault.MaxWindows)
+	}
+	if _, err := fault.New(periodic, "x").Brownouts(fault.MaxWindows + 1); !errors.Is(err, fault.ErrBadPlan) {
+		t.Errorf("periodic plan past the bound: err = %v, want ErrBadPlan", err)
+	}
+	// Explicit and random windows count against one budget.
+	mixed := fault.Plan{
+		Brownouts: []fault.Pulse{{AtS: 0, DurationS: 0.5}},
+		Random:    &fault.RandomPulses{Count: fault.MaxWindows, MeanDurationS: 1e-9},
+	}
+	if _, err := fault.New(mixed, "x").Brownouts(1.0); !errors.Is(err, fault.ErrBadPlan) {
+		t.Errorf("explicit + random past the bound: err = %v, want ErrBadPlan", err)
 	}
 }
 
@@ -77,18 +124,29 @@ func TestStreamSeedDomains(t *testing.T) {
 	}
 }
 
+// resolve resolves plan's brownouts on stream over the horizon, failing
+// the test on a refusal.
+func resolve(t *testing.T, plan fault.Plan, stream string, horizon float64) *fault.Brownouts {
+	t.Helper()
+	b, err := fault.New(plan, stream).Brownouts(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestBrownoutsResolveDeterministic(t *testing.T) {
 	plan := fault.Plan{
 		Seed:      42,
 		Brownouts: []fault.Pulse{{AtS: 0.1, DurationS: 0.05, EveryS: 0.3}},
 		Random:    &fault.RandomPulses{Count: 4, MeanDurationS: 0.02, Depth: 0.1},
 	}
-	w1 := fault.New(plan, "fig8").Brownouts(1.0).Windows()
-	w2 := fault.New(plan, "fig8").Brownouts(1.0).Windows()
+	w1 := resolve(t, plan, "fig8", 1.0).Windows()
+	w2 := resolve(t, plan, "fig8", 1.0).Windows()
 	if !reflect.DeepEqual(w1, w2) {
 		t.Fatal("same (plan, stream) resolved different windows")
 	}
-	w3 := fault.New(plan, "fig9b").Brownouts(1.0).Windows()
+	w3 := resolve(t, plan, "fig9b", 1.0).Windows()
 	if reflect.DeepEqual(w1, w3) {
 		t.Fatal("different streams resolved identical random windows")
 	}
@@ -108,7 +166,7 @@ func TestBrownoutsMergeDepth(t *testing.T) {
 		{AtS: 0.15, DurationS: 0.1, Depth: 0.2}, // overlaps; darker wins
 		{AtS: 0.5, DurationS: 0.05},
 	}}
-	ws := fault.New(plan, "x").Brownouts(1.0).Windows()
+	ws := resolve(t, plan, "x", 1.0).Windows()
 	if len(ws) != 2 {
 		t.Fatalf("got %d windows, want 2: %+v", len(ws), ws)
 	}
@@ -119,7 +177,7 @@ func TestBrownoutsMergeDepth(t *testing.T) {
 
 func TestBrownoutsWrap(t *testing.T) {
 	plan := fault.Plan{Brownouts: []fault.Pulse{{AtS: 0.2, DurationS: 0.1, Depth: 0.25}}}
-	irr := fault.New(plan, "x").Brownouts(1.0).Wrap(func(float64) float64 { return 2.0 })
+	irr := resolve(t, plan, "x", 1.0).Wrap(func(float64) float64 { return 2.0 })
 	for _, tc := range []struct{ t, want float64 }{
 		{0.0, 2.0}, {0.19, 2.0}, {0.2, 0.5}, {0.29, 0.5}, {0.31, 2.0}, {0.9, 2.0},
 	} {
@@ -128,7 +186,7 @@ func TestBrownoutsWrap(t *testing.T) {
 		}
 	}
 	// No windows: the base function comes back untouched.
-	none := fault.New(fault.Plan{}, "x").Brownouts(1.0)
+	none := resolve(t, fault.Plan{}, "x", 1.0)
 	if got := none.Wrap(func(float64) float64 { return 3 })(0.5); got != 3 {
 		t.Errorf("empty wrap altered irradiance: %g", got)
 	}
@@ -137,7 +195,7 @@ func TestBrownoutsWrap(t *testing.T) {
 func TestBrownoutsEmit(t *testing.T) {
 	plan := fault.Plan{Seed: 9, Brownouts: []fault.Pulse{{AtS: 0.1, DurationS: 0.05}}}
 	rec := trace.NewRecorder()
-	fault.New(plan, "fig8").Brownouts(1.0).Emit(rec, "fig8", plan.Seed)
+	resolve(t, plan, "fig8", 1.0).Emit(rec, "fig8", plan.Seed)
 	events := rec.Events()
 	if len(events) != 3 {
 		t.Fatalf("got %d events, want plan + begin/end: %+v", len(events), events)
@@ -149,7 +207,7 @@ func TestBrownoutsEmit(t *testing.T) {
 		t.Errorf("emitted trace invalid: %v", err)
 	}
 	// A nil tracer must be a no-op, not a panic.
-	fault.New(plan, "fig8").Brownouts(1.0).Emit(nil, "fig8", plan.Seed)
+	resolve(t, plan, "fig8", 1.0).Emit(nil, "fig8", plan.Seed)
 }
 
 func TestNVMInjectorDeterministic(t *testing.T) {

@@ -2,14 +2,16 @@ package fault
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 )
 
 // FuzzParsePlan checks the decoder behind the X-Fault-Plan header and
 // hemsim -faults files: it never panics, every plan it accepts passes
-// Validate, and an accepted plan survives json.Marshal → ParsePlan
-// unchanged.
+// Validate with a random count within MaxWindows and resolves within the
+// bound or with ErrBadPlan, and an accepted plan survives json.Marshal →
+// ParsePlan unchanged.
 func FuzzParsePlan(f *testing.F) {
 	f.Add(``)
 	f.Add(`{}`)
@@ -26,6 +28,8 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add(`{"seed":-9223372036854775808,"nvm":{"torn_write_prob":1}}`)
 	f.Add(`{"bogus":1}`)
 	f.Add(`{"seed":1}{"seed":2}`)
+	f.Add(`{"seed":1,"random_brownouts":{"count":1000000000000,"mean_duration_s":0.001}}`)
+	f.Add(`{"seed":1,"brownouts":[{"at_s":0,"duration_s":1e-12,"every_s":1e-12}]}`)
 	f.Fuzz(func(t *testing.T, data string) {
 		p, err := ParsePlan([]byte(data))
 		if err != nil {
@@ -33,6 +37,18 @@ func FuzzParsePlan(f *testing.F) {
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatalf("accepted plan fails Validate: %v\ninput: %q", err, data)
+		}
+		if p.Random != nil && p.Random.Count > MaxWindows {
+			t.Fatalf("accepted random count %d > MaxWindows\ninput: %q", p.Random.Count, data)
+		}
+		// Resolving over a unit horizon either refuses the plan or stays
+		// within the window bound.
+		if b, err := New(p, "fuzz").Brownouts(1); err != nil {
+			if !errors.Is(err, ErrBadPlan) {
+				t.Fatalf("Brownouts error %v does not wrap ErrBadPlan\ninput: %q", err, data)
+			}
+		} else if n := len(b.Windows()); n > MaxWindows {
+			t.Fatalf("resolved %d windows > MaxWindows\ninput: %q", n, data)
 		}
 		enc, err := json.Marshal(p)
 		if err != nil {

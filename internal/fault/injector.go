@@ -6,6 +6,7 @@ package fault
 // scheduling or on how many other streams the same plan feeds.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -45,11 +46,19 @@ type Window struct {
 // Brownouts resolves the plan's explicit and random pulses over [0,
 // horizon] into a sorted, non-overlapping window set. The random draws
 // come from the stream's "brownout" domain, so resolving twice (or on a
-// different worker) yields identical windows.
-func (in *Injector) Brownouts(horizon float64) *Brownouts {
+// different worker) yields identical windows. A plan that would resolve
+// to more than MaxWindows windows over the horizon is an ErrBadPlan
+// error, returned before the excess is allocated.
+func (in *Injector) Brownouts(horizon float64) (*Brownouts, error) {
+	tooMany := func() error {
+		return fmt.Errorf("%w: brownouts resolve to more than %d windows over %g s", ErrBadPlan, MaxWindows, horizon)
+	}
 	var ws []Window
 	for _, p := range in.plan.Brownouts {
 		for at := p.AtS; at < horizon; at += p.EveryS {
+			if len(ws) == MaxWindows {
+				return nil, tooMany()
+			}
 			ws = append(ws, Window{Start: at, End: at + p.DurationS, Depth: p.Depth})
 			if p.EveryS <= 0 {
 				break
@@ -57,6 +66,9 @@ func (in *Injector) Brownouts(horizon float64) *Brownouts {
 		}
 	}
 	if r := in.plan.Random; r != nil && r.Count > 0 && horizon > 0 {
+		if r.Count > MaxWindows-len(ws) {
+			return nil, tooMany()
+		}
 		rng := newRand(in.plan.Seed, in.stream, "brownout")
 		for i := 0; i < r.Count; i++ {
 			start := rng.Float64() * horizon
@@ -64,7 +76,7 @@ func (in *Injector) Brownouts(horizon float64) *Brownouts {
 			ws = append(ws, Window{Start: start, End: start + dur, Depth: r.Depth})
 		}
 	}
-	return &Brownouts{windows: mergeWindows(ws)}
+	return &Brownouts{windows: mergeWindows(ws)}, nil
 }
 
 // NVM returns the plan's checkpoint-store fault stream, or nil when the

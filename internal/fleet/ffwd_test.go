@@ -10,6 +10,10 @@ import (
 // sky on every node, the regime event-horizon fast-forward exists for.
 const darkSpec = "n=24,seed=11,horizon=0.02,epoch=1e-3,step=2e-5,dark=0.7"
 
+// darkTailSpec is long enough for nodes to drain to the collapse fixed
+// point inside the dark tail, so the skip path carries most steps.
+const darkTailSpec = "n=16,seed=11,horizon=0.3,epoch=0.01,step=2e-4,dark=0.9"
+
 // renderFleetFF renders the spec with an explicit fast-forward setting.
 func renderFleetFF(t *testing.T, specText string, workers, batch int, noFF bool) []byte {
 	t.Helper()
@@ -97,7 +101,7 @@ func TestFleetFastForwardParity(t *testing.T) {
 func TestFleetDarkActuallySkips(t *testing.T) {
 	// A longer horizon than darkSpec: nodes must have time to drain to the
 	// collapse fixed point inside the dark tail before skipping can start.
-	spec, err := ParseSpec("n=16,seed=11,horizon=0.3,epoch=0.01,step=2e-4,dark=0.9")
+	spec, err := ParseSpec(darkTailSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,19 +6,21 @@ import (
 	"testing"
 
 	"repro/internal/prof"
+	"repro/internal/trace"
 )
 
-// profiledFleet runs the test spec with profiling on and returns the
-// encoded profile bytes plus the report bytes.
-func profiledFleet(t *testing.T, workers, batch int) ([]byte, []byte) {
+// profiledSpec runs specText with profiling on and the given execution
+// settings, and returns the encoded profile bytes plus the report bytes.
+func profiledSpec(t *testing.T, specText string, workers, batch int, noFF bool) ([]byte, []byte) {
 	t.Helper()
-	spec, err := ParseSpec(testSpec)
+	spec, err := ParseSpec(specText)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := spec.Config()
 	cfg.Workers = workers
 	cfg.Batch = batch
+	cfg.NoFastForward = noFF
 	cfg.Profile = prof.New()
 	cfg.ProfileScope = "fleet"
 	rep, err := Run(cfg)
@@ -39,13 +41,13 @@ func profiledFleet(t *testing.T, workers, batch int) ([]byte, []byte) {
 // exported bytes must be identical across worker counts and batch sizes,
 // and profiling must not perturb the report itself.
 func TestFleetProfileParity(t *testing.T) {
-	refProf, refRep := profiledFleet(t, 1, 0)
+	refProf, refRep := profiledSpec(t, testSpec, 1, 0, false)
 	if plain := renderFleet(t, testSpec, 1); !bytes.Equal(refRep, plain) {
 		t.Error("profiling changed the report bytes")
 	}
 	for _, workers := range []int{2, 8} {
 		for _, batch := range []int{0, 1, 3, 1000} {
-			p, r := profiledFleet(t, workers, batch)
+			p, r := profiledSpec(t, testSpec, workers, batch, false)
 			if !bytes.Equal(p, refProf) {
 				t.Errorf("workers=%d batch=%d: profile bytes differ", workers, batch)
 			}
@@ -122,5 +124,75 @@ func TestFleetOnEpoch(t *testing.T) {
 	if !reflect.DeepEqual(seen, rep.Snapshots) {
 		t.Errorf("OnEpoch saw %d snapshots %+v, report has %d %+v",
 			len(seen), seen, len(rep.Snapshots), rep.Snapshots)
+	}
+}
+
+// TestFleetDarkProfileFastForwardParity is the profiled half of the ffwd
+// differential contract: on a dark fleet the ledger rides fast-forward,
+// and the exported profile must be byte-identical with fast-forward on
+// and off at every worker count and batch size — while the profiled run
+// really skips.
+func TestFleetDarkProfileFastForwardParity(t *testing.T) {
+	refProf, refRep := profiledSpec(t, darkTailSpec, 1, 0, true) // verbatim reference
+	if plain := renderFleetFF(t, darkTailSpec, 1, 0, true); !bytes.Equal(refRep, plain) {
+		t.Error("profiling changed the dark fleet's report bytes")
+	}
+	for _, noFF := range []bool{false, true} {
+		for _, workers := range []int{1, 2, 8} {
+			for _, batch := range []int{0, 1, 3} {
+				p, r := profiledSpec(t, darkTailSpec, workers, batch, noFF)
+				if !bytes.Equal(p, refProf) {
+					t.Errorf("noFF=%v workers=%d batch=%d: profile bytes differ from the verbatim reference",
+						noFF, workers, batch)
+				}
+				if !bytes.Equal(r, refRep) {
+					t.Errorf("noFF=%v workers=%d batch=%d: report bytes differ", noFF, workers, batch)
+				}
+			}
+		}
+	}
+
+	spec, err := ParseSpec(darkTailSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := spec.Config()
+	cfg.Profile = prof.New()
+	_, res, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped := 0
+	for _, sim := range res.Lanes {
+		skipped += sim.Progress().StepsSkipped
+	}
+	if skipped == 0 {
+		t.Fatal("profiled dark fleet skipped no steps: the ledger is gating fast-forward again")
+	}
+}
+
+// TestFleetDarkTraceWithProfile: attaching a profile to a traced dark
+// fleet must not change a single recorded event.
+func TestFleetDarkTraceWithProfile(t *testing.T) {
+	record := func(p *prof.Profile) []trace.Event {
+		spec, err := ParseSpec(darkTailSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := spec.Config()
+		rec := trace.NewRecorder()
+		cfg.Tracer = rec
+		cfg.Profile = p
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Events()
+	}
+	ref := record(nil)
+	if len(ref) == 0 {
+		t.Fatal("tracer-only run recorded no events")
+	}
+	if got := record(prof.New()); !reflect.DeepEqual(got, ref) {
+		t.Errorf("traced+profiled run recorded %d events, tracer-only %d; streams differ", len(got), len(ref))
 	}
 }

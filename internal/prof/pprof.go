@@ -346,6 +346,10 @@ func packed(f pfield, out *[]uint64) error {
 
 // ReadPprof decodes a gzipped pprof profile produced by WritePprof (or any
 // encoder emitting the same subset: string names, one line per location).
+// Untrusted bytes are safe: every length prefix is checked against the
+// bytes that remain before it is used, nothing is preallocated from a
+// decoded count, and a profile is refused unless every sample carries
+// exactly one value per sample type and every string index resolves.
 func ReadPprof(r io.Reader) (*Decoded, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
@@ -478,6 +482,9 @@ func ReadPprof(r io.Reader) (*Decoded, error) {
 		d.SampleTypes = append(d.SampleTypes, DecodedValueType{Type: t, Unit: u})
 	}
 	for _, rs := range rawSamples {
+		if len(rs.vals) != len(rawTypes) {
+			return nil, errMalformed
+		}
 		s := DecodedSample{Labels: map[string]string{}}
 		for _, id := range rs.locs {
 			name, err := str(fnNames[locFns[id]])

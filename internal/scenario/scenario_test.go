@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/prof"
 	"repro/internal/trace"
 )
 
@@ -274,6 +275,40 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 	if got := record(8, 1); !reflect.DeepEqual(got, ref) {
 		t.Error("trace events differ between workers=1 and workers=8/batch=1")
+	}
+}
+
+// TestTraceWithProfile: a sparse kinetic source plus a heavy aux drain
+// collapses the nodes inside long exactly-zero spans, so the per-node
+// trace carries circuit.ffwd instants. Attaching a profile must leave
+// that event stream exactly as the tracer-only run records it: the
+// ledger rides fast-forward rather than switching it off.
+func TestTraceWithProfile(t *testing.T) {
+	const darkScenario = `{"name":"dark","seed":9,` +
+		`"source":{"kind":"kinetic","rate_hz":0.5,"impulse":0.5,"decay_s":0.05},` +
+		`"workload":{"job_cycles":5e6,"aux_w":5e-4},"geometry":{"nodes":2,"horizon_s":2,"step_s":2e-4}}`
+	record := func(p *prof.Profile) []trace.Event {
+		spec, err := ParseScenario([]byte(darkScenario))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder()
+		if _, err := Run(Config{Spec: spec, Tracer: rec, Profile: p, ProfileScope: "scenario"}); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Events()
+	}
+	ref := record(nil)
+	skips := trace.Filter(ref, func(ev trace.Event) bool { return ev.Kind == "circuit.ffwd" })
+	if len(skips) == 0 {
+		t.Fatal("tracer-only run recorded no circuit.ffwd instants; the spec no longer exercises the skip path")
+	}
+	p := prof.New()
+	if got := record(p); !reflect.DeepEqual(got, ref) {
+		t.Errorf("traced+profiled run recorded %d events, tracer-only %d; streams differ", len(got), len(ref))
+	}
+	if total := p.Total(); !(total.Seconds[prof.BinDead] > 0) {
+		t.Error("profile has no dead/brownout time")
 	}
 }
 
