@@ -8,8 +8,9 @@
 //     solver at width 1 and 10k, a 2000-step circuit run with energy
 //     profiling off and on, a 16-lane circuit.RunBatch, pv.Array's global
 //     MPP search under partial shading, a mostly-dark fleet with
-//     fast-forward on, off and profiled, and one full registry experiment
-//     end to end.
+//     fast-forward on, off and profiled, and three full registry
+//     experiments end to end: fig11b, and ext-weather and
+//     ext-intermittent, the two that dominate `hemsim all`.
 //
 // It measures each path in-process, writes the measured ns/op to a JSON
 // file, and exits non-zero if any path regressed more than the tolerance
@@ -242,14 +243,9 @@ func simPaths() map[string]hotPath {
 			benchSink = led.TotalJoules()
 			return nil
 		},
-		"sim_full_run": func(n int) error {
-			for i := 0; i < n; i++ {
-				if _, err := expt.Render("fig11b"); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+		"sim_full_run":     fullRun("fig11b"),
+		"ext_weather":      fullRun("ext-weather"),
+		"ext_intermittent": fullRun("ext-intermittent"),
 		"batch_solve_sweep_w1": func(n int) error {
 			for i := 0; i < n; i++ {
 				sweep(1)
@@ -296,6 +292,18 @@ func simPaths() map[string]hotPath {
 		"fleet_dark_ffwd":     darkFleet(false, false),
 		"fleet_dark_noffwd":   darkFleet(true, false),
 		"fleet_dark_profiled": darkFleet(false, true),
+	}
+}
+
+// fullRun renders one registry experiment end to end per iteration.
+func fullRun(id string) hotPath {
+	return func(n int) error {
+		for i := 0; i < n; i++ {
+			if _, err := expt.Render(id); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }
 

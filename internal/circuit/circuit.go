@@ -267,6 +267,10 @@ type State struct {
 	cyclesDone float64
 	compAbove  []bool
 
+	// supply memoises the processor's alpha-law clock ceiling and leakage
+	// at the last supply looked up (see supplyMemo).
+	supply supplyMemo
+
 	// pvSolver warm-starts the cell's implicit-equation solve across steps:
 	// vcap moves slowly per step, so the previous operating point lets
 	// Newton replace the bisection's ~45 exponentials with 1-2. Results are
@@ -359,6 +363,58 @@ func (s *State) TraceEnd(kind string, args trace.Args) {
 
 // Processor returns the processor model, for controllers that plan with it.
 func (s *State) Processor() *cpu.Processor { return s.cfg.Proc }
+
+// MaxFrequency returns the processor's clock ceiling (Hz) at supply v,
+// bitwise equal to Processor().MaxFrequency(v). The value comes from the
+// run's per-supply memo, so a controller asking at Supply() gets the
+// ceiling the step just resolved without evaluating the alpha law again.
+func (s *State) MaxFrequency(v float64) float64 {
+	m := s.supply.at(v)
+	if m.hasFmax {
+		m.hits++
+		return m.fmax
+	}
+	m.misses++
+	m.fmax, m.hasFmax = s.cfg.Proc.MaxFrequency(v), true
+	return m.fmax
+}
+
+// leakagePower is Processor().LeakagePower(v) through the same memo.
+func (s *State) leakagePower(v float64) float64 {
+	m := s.supply.at(v)
+	if m.hasLeak {
+		m.hits++
+		return m.leak
+	}
+	m.misses++
+	m.leak, m.hasLeak = s.cfg.Proc.LeakagePower(v), true
+	return m.leak
+}
+
+// supplyMemo holds MaxFrequency and LeakagePower at one supply, keyed on
+// the supply's bit pattern, each filled on first use (a halted step needs
+// only the leakage). Both functions are pure and the processor never
+// changes during a run, so a value served for the same bits is the value
+// a fresh call returns: the memo is a cache, invisible in every output.
+// A regulated supply keeps its bits across long runs of steps, so most
+// lookups skip the math.Pow and math.Exp. hits and misses count the
+// lookups answered from the memo and the evaluations paid; they surface
+// in Progress.
+type supplyMemo struct {
+	bits             uint64
+	fmax, leak       float64
+	hasFmax, hasLeak bool
+	hits, misses     int
+}
+
+// at rekeys the memo to supply v, dropping both values when v's bits
+// differ from the held supply's, and returns it.
+func (m *supplyMemo) at(v float64) *supplyMemo {
+	if b := math.Float64bits(v); b != m.bits {
+		m.bits, m.hasFmax, m.hasLeak = b, false, false
+	}
+	return m
+}
 
 // Regulator returns the regulator model.
 func (s *State) Regulator() reg.Regulator { return s.cfg.Reg }
@@ -509,23 +565,13 @@ func (s *Simulator) Run() (*Outcome, error) {
 // flows for the current commanded point and node voltage.
 func (st *State) resolveOperatingPoint(vcap float64) {
 	cfg := &st.cfg
-	proc := cfg.Proc
 
 	if st.bypass {
 		// Direct connection: supply equals the node voltage, capped at the
 		// processor's rated maximum (a clamp protects the core).
-		supply := math.Min(vcap, proc.MaxVoltage())
+		supply := math.Min(vcap, cfg.Proc.MaxVoltage())
 		st.effSupply = supply
-		if supply < proc.MinVoltage() {
-			st.halted = true
-			st.effFreq = 0
-			st.loadPow = proc.LeakagePower(supply)
-			st.inputPow = st.loadPow
-			return
-		}
-		st.halted = false
-		st.effFreq = st.quantizeClock(math.Min(st.freqTarget, proc.MaxFrequency(supply)))
-		st.loadPow = proc.Power(supply, st.effFreq)
+		st.powerAt(supply)
 		st.inputPow = st.loadPow
 		return
 	}
@@ -547,15 +593,7 @@ func (st *State) resolveOperatingPoint(vcap float64) {
 		return
 	}
 	st.effSupply = supply
-	if supply < proc.MinVoltage() {
-		st.halted = true
-		st.effFreq = 0
-		st.loadPow = proc.LeakagePower(supply)
-	} else {
-		st.halted = false
-		st.effFreq = st.quantizeClock(math.Min(st.freqTarget, proc.MaxFrequency(supply)))
-		st.loadPow = proc.Power(supply, st.effFreq)
-	}
+	st.powerAt(supply)
 	eta := cfg.Reg.Efficiency(vcap, supply, st.loadPow)
 	if eta <= 0 {
 		// Load too small or point degenerate: draw only the load power.
@@ -563,6 +601,24 @@ func (st *State) resolveOperatingPoint(vcap float64) {
 		return
 	}
 	st.inputPow = st.loadPow / eta
+}
+
+// powerAt sets the halt flag, effective clock and load power of a core
+// fed at supply: halted and leaking below the functional minimum,
+// otherwise clocked at the command capped by the supply's ceiling. The
+// ceiling and the leakage come from the per-supply memo.
+func (st *State) powerAt(supply float64) {
+	proc := st.cfg.Proc
+	if supply < proc.MinVoltage() {
+		st.halted = true
+		st.effFreq = 0
+		st.loadPow = st.leakagePower(supply)
+		return
+	}
+	fmax := st.MaxFrequency(supply)
+	st.halted = false
+	st.effFreq = st.quantizeClock(math.Min(st.freqTarget, fmax))
+	st.loadPow = proc.PowerFromParts(supply, st.effFreq, fmax, st.leakagePower(supply))
 }
 
 // quantizeClock snaps a commanded frequency to the configured clock levels:

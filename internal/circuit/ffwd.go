@@ -50,6 +50,10 @@ package circuit
 //     idempotent and one add therefore stands for any number of them
 //     even on a caller-seeded −0.
 //
+// The per-supply clock/leakage memo that resolveOperatingPoint reads
+// through (supplyMemo) is a pure cache outside the proven state: it
+// changes how often the alpha law is evaluated, never a value.
+//
 // The skip stops at the earliest of: the source's NextChange, the
 // controller's quiescence horizon, the next due waveform sample
 // (TraceEvery), and the StepTo/StepToCount target — everything past any

@@ -150,3 +150,62 @@ func BenchmarkCircuitStep(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
 }
+
+// TestStateMaxFrequencyMatchesProcessor holds the per-supply memo to the
+// processor bit for bit: repeated supplies (hits), alternating ones
+// (rekeys), leakage lookups interleaved at the same key, NaN payloads and
+// both signed zeros, which share a value but not a bit pattern.
+func TestStateMaxFrequencyMatchesProcessor(t *testing.T) {
+	sim, err := New(testConfig(t, &FixedPoint{Supply: 0.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &sim.state
+	proc := st.Processor()
+	negZero := math.Copysign(0, -1)
+	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	supplies := []float64{
+		0.5, 0.5, 0.5, 0.6, 0.5, 0.6, 0.6,
+		proc.ThresholdVoltage(), proc.MinVoltage(), proc.MinVoltage(), 0.2,
+		0, negZero, 0, negZero, negZero,
+		math.NaN(), math.NaN(), otherNaN, math.NaN(),
+		-0.3, math.Inf(1), math.Inf(-1), proc.MaxVoltage(), 1e-300, 0.5,
+	}
+	for i, v := range supplies {
+		if i%3 == 0 {
+			if got, want := st.leakagePower(v), proc.LeakagePower(v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("leakagePower(%v) = %v, processor %v", v, got, want)
+			}
+		}
+		if got, want := st.MaxFrequency(v), proc.MaxFrequency(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("MaxFrequency(%v) [lookup %d] = %v, processor %v", v, i, got, want)
+		}
+	}
+	if st.supply.hits == 0 || st.supply.misses == 0 {
+		t.Errorf("memo counted %d hits, %d misses; the sequence has both", st.supply.hits, st.supply.misses)
+	}
+}
+
+// TestSupplyMemoCounts pins the memo's work counters on a constant-light
+// FixedPoint run that never halts: the regulated supply holds its bits,
+// so the first step pays one clock and one leakage evaluation and every
+// later step answers both from the memo.
+func TestSupplyMemoCounts(t *testing.T) {
+	const steps = 400
+	sim, err := New(allocRunConfig(t, steps*5e-6, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.BrownedOut {
+		t.Fatal("run halted; the pinned counts assume a running core")
+	}
+	p := sim.Progress()
+	if p.Steps != steps || p.SupplyMemoHits != 2*steps-2 || p.SupplyMemoMisses != 2 {
+		t.Errorf("steps %d: memo hits %d, misses %d; want %d steps, %d hits, 2 misses",
+			p.Steps, p.SupplyMemoHits, p.SupplyMemoMisses, steps, 2*steps-2)
+	}
+}

@@ -216,6 +216,13 @@ type Progress struct {
 	Completed       bool    // cycle budget reached
 	BrownedOut      bool    // a halt has occurred
 	Done            bool    // no further steps will execute
+
+	// SupplyMemoHits and SupplyMemoMisses count the clock-ceiling and
+	// leakage lookups the per-supply memo answered and the evaluations
+	// it paid (State.MaxFrequency). Work counters, not physics: a
+	// fast-forwarded span looks nothing up.
+	SupplyMemoHits   int
+	SupplyMemoMisses int
 }
 
 // Progress returns the current mid-run snapshot.
@@ -233,6 +240,9 @@ func (s *Simulator) Progress() Progress {
 		Completed:       st.outcome.Completed,
 		BrownedOut:      st.outcome.BrownedOut,
 		Done:            s.finished,
+
+		SupplyMemoHits:   st.supply.hits,
+		SupplyMemoMisses: st.supply.misses,
 	}
 }
 

@@ -42,10 +42,6 @@ var (
 	// ErrInsufficientPower indicates a power budget too small to run the
 	// processor at any valid operating point.
 	ErrInsufficientPower = errors.New("cpu: power budget below minimum operating power")
-
-	// ErrEmptyVoltageRange indicates a search range that does not overlap
-	// the processor's functional voltage range.
-	ErrEmptyVoltageRange = errors.New("cpu: empty voltage range")
 )
 
 // Processor is a compact power/performance model of a microprocessor core.
@@ -235,6 +231,22 @@ func (p *Processor) Power(v, f float64) float64 {
 	return p.DynamicPower(v, f) + p.LeakagePower(v)
 }
 
+// PowerFromParts is Power(v, f) for a caller that already holds
+// fmax = MaxFrequency(v) and leak = LeakagePower(v), so a stepper that
+// evaluated the alpha law for its clock clamp does not pay it again.
+// Given those exact values the result is bitwise equal to Power(v, f):
+// the body is Power's, with the two evaluations substituted.
+func (p *Processor) PowerFromParts(v, f, fmax, leak float64) float64 {
+	var dyn float64
+	if !(v <= 0 || f <= 0) { // DynamicPower's guard, so NaN takes its branch
+		if f > fmax {
+			f = fmax
+		}
+		dyn = p.switchedCap * v * v * f
+	}
+	return dyn + leak
+}
+
 // MaxPower returns total power (W) at supply voltage v running at the
 // maximum frequency for that voltage.
 func (p *Processor) MaxPower(v float64) float64 {
@@ -314,14 +326,6 @@ func minimizeEnergy(lo, hi float64, f func(float64) float64) (x, fx float64) {
 	}
 	x = 0.5 * (lo + hi)
 	return x, f(x)
-}
-
-// MinimizeEnergyOver minimises an arbitrary per-cycle energy function over
-// the processor's functional voltage range. It is exported so that holistic
-// analyses can fold regulator efficiency into the objective while reusing
-// the same solver and range.
-func (p *Processor) MinimizeEnergyOver(energyAt func(v float64) float64) (voltage, energy float64) {
-	return minimizeEnergy(p.minVoltage, p.maxVoltage, energyAt)
 }
 
 // VoltageForFrequency returns the lowest supply voltage (V) at which the
@@ -439,34 +443,4 @@ func (p *Processor) FrequencyForPower(v, budget float64) float64 {
 		f = fm
 	}
 	return f
-}
-
-// OperatingPoint is a fully determined DVFS setting.
-type OperatingPoint struct {
-	Voltage   float64 // supply voltage (V)
-	Frequency float64 // clock frequency (Hz)
-	Power     float64 // total power at this point (W)
-}
-
-// BestPointForBudget returns the DVFS operating point maximising clock
-// frequency subject to a total power budget (W), searching supply voltages
-// in [minV, maxV] intersected with the processor's functional range. This
-// implements the Sec. IV optimisation for a fixed available power. It
-// returns ErrInsufficientPower if no voltage in range can run at all.
-func (p *Processor) BestPointForBudget(budget, minV, maxV float64) (OperatingPoint, error) {
-	lo := math.Max(minV, p.minVoltage)
-	hi := math.Min(maxV, p.maxVoltage)
-	if lo > hi {
-		return OperatingPoint{}, ErrEmptyVoltageRange
-	}
-	// Frequency-vs-voltage under a power cap is unimodal: rising while the
-	// cap is not binding (f = fmax(V)), falling once it binds (f ~ B/V^2).
-	// Golden-section search on -frequency.
-	neg := func(v float64) float64 { return -p.FrequencyForPower(v, budget) }
-	v, negF := minimizeEnergy(lo, hi, neg)
-	f := -negF
-	if f <= 0 {
-		return OperatingPoint{}, ErrInsufficientPower
-	}
-	return OperatingPoint{Voltage: v, Frequency: f, Power: p.Power(v, f)}, nil
 }

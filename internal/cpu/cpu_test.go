@@ -174,43 +174,6 @@ func TestFrequencyForPower(t *testing.T) {
 	}
 }
 
-func TestBestPointForBudget(t *testing.T) {
-	p := NewProcessor()
-	budget := 5e-3
-	pt, err := p.BestPointForBudget(budget, 0, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Power > budget*(1+1e-9) {
-		t.Errorf("point power %.4g exceeds budget %.4g", pt.Power, budget)
-	}
-	// Beats a dense grid.
-	for v := p.MinVoltage(); v <= p.MaxVoltage(); v += 0.002 {
-		if f := p.FrequencyForPower(v, budget); f > pt.Frequency*(1+1e-6) {
-			t.Fatalf("grid point %.3f V gives %.6g Hz > solver %.6g Hz", v, f, pt.Frequency)
-		}
-	}
-	if _, err := p.BestPointForBudget(1e-9, 0, 1.2); !errors.Is(err, ErrInsufficientPower) {
-		t.Errorf("tiny budget: want ErrInsufficientPower, got %v", err)
-	}
-	if _, err := p.BestPointForBudget(1e-3, 0.9, 0.5); !errors.Is(err, ErrEmptyVoltageRange) {
-		t.Errorf("inverted range: want ErrEmptyVoltageRange, got %v", err)
-	}
-}
-
-func TestMinimizeEnergyOver(t *testing.T) {
-	p := NewProcessor()
-	// With a constant-efficiency wrapper the result equals the plain MEP.
-	v1, e1 := p.ConventionalMEP()
-	v2, e2 := p.MinimizeEnergyOver(func(v float64) float64 { return p.EnergyPerCycle(v) / 0.8 })
-	if math.Abs(v1-v2) > 1e-4 {
-		t.Errorf("constant-eta MEP moved: %.4f vs %.4f", v1, v2)
-	}
-	if math.Abs(e2-e1/0.8)/e2 > 1e-6 {
-		t.Errorf("scaled energy mismatch: %g vs %g", e2, e1/0.8)
-	}
-}
-
 func TestOptions(t *testing.T) {
 	p := NewProcessor(
 		WithNominal(0.9, 500e6),
@@ -267,43 +230,10 @@ func TestQuickFrequencyForPowerBounds(t *testing.T) {
 	}
 }
 
-// Property: more budget never means a slower best point.
-func TestQuickBudgetMonotonicity(t *testing.T) {
-	p := NewProcessor()
-	f := func(aRaw, bRaw uint16) bool {
-		a := 1e-3 + float64(aRaw)/65535*20e-3
-		b := 1e-3 + float64(bRaw)/65535*20e-3
-		if a > b {
-			a, b = b, a
-		}
-		ptA, errA := p.BestPointForBudget(a, 0, 1.2)
-		ptB, errB := p.BestPointForBudget(b, 0, 1.2)
-		if errA != nil {
-			return true // a infeasible: nothing to compare
-		}
-		if errB != nil {
-			return false // more budget cannot become infeasible
-		}
-		return ptB.Frequency >= ptA.Frequency*(1-1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkConventionalMEP(b *testing.B) {
 	p := NewProcessor()
 	for i := 0; i < b.N; i++ {
 		p.ConventionalMEP()
-	}
-}
-
-func BenchmarkBestPointForBudget(b *testing.B) {
-	p := NewProcessor()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.BestPointForBudget(8e-3, 0, 1.2); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -434,4 +364,35 @@ func TestVoltageForFrequencyWarmReusesProbes(t *testing.T) {
 	if state.n != before {
 		t.Fatalf("identical solve changed trajectory length: %d -> %d", before, state.n)
 	}
+}
+
+// FuzzPowerFromParts holds PowerFromParts to Power bit for bit: given the
+// processor's own MaxFrequency(v) and LeakagePower(v) it must return
+// exactly Power(v, f) for every supply and clock — NaN, signed zeros,
+// negative values, supplies at or below the threshold and the functional
+// minimum included — on the default processor and on one with fuzzed
+// alpha-law parameters.
+func FuzzPowerFromParts(f *testing.F) {
+	def := NewProcessor()
+	negZero := math.Copysign(0, -1)
+	for _, seed := range [][2]float64{
+		{0.5, 50e6}, {0.5, 1e12}, {0.55, math.Inf(1)}, {0.6, 0}, {0.6, negZero}, {0.6, -1},
+		{def.ThresholdVoltage(), 1e6}, {def.MinVoltage(), 1e6}, {0.33, 1e6},
+		{0, 1e6}, {negZero, 1e6}, {-0.3, 1e6}, {math.Inf(1), 1e6},
+		{math.NaN(), 1e6}, {0.6, math.NaN()}, {math.NaN(), math.NaN()},
+	} {
+		f.Add(seed[0], seed[1], 1.4, 0.32)
+	}
+	f.Add(0.5, 50e6, math.NaN(), 0.32)
+	f.Add(0.5, 50e6, 1.4, 0.6)
+	f.Fuzz(func(t *testing.T, v, freq, alpha, vth float64) {
+		for _, p := range []*Processor{def, NewProcessor(WithAlpha(alpha), WithThresholdVoltage(vth))} {
+			want := p.Power(v, freq)
+			got := p.PowerFromParts(v, freq, p.MaxFrequency(v), p.LeakagePower(v))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("alpha=%v vth=%v: PowerFromParts(%v, %v) = %v (%#x), Power = %v (%#x)",
+					alpha, vth, v, freq, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	})
 }

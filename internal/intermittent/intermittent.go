@@ -20,8 +20,10 @@ package intermittent
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/circuit"
+	"repro/internal/cpu"
 	"repro/internal/prof"
 	"repro/internal/trace"
 )
@@ -288,6 +290,13 @@ type Executor struct {
 	prevCommitted float64 // committed work in the older buffered image
 	restores      int     // restore attempts, indexing Faults.CorruptRestore
 	workAtFailure float64 // committed+volatile at the previous failure
+
+	// fmaxProc, fmaxBits and fmax cache MaxFrequency(Supply), which
+	// targetFrequency asks for on every command; the key is the processor
+	// and Supply's bits, so the value is the one a fresh call returns.
+	fmaxProc *cpu.Processor
+	fmaxBits uint64
+	fmax     float64
 }
 
 var _ circuit.Controller = (*Executor)(nil)
@@ -354,7 +363,11 @@ func (e *Executor) targetFrequency(s *circuit.State) float64 {
 	if e.Frequency > 0 {
 		return e.Frequency
 	}
-	return s.Processor().MaxFrequency(e.Supply)
+	proc, bits := s.Processor(), math.Float64bits(e.Supply)
+	if proc != e.fmaxProc || bits != e.fmaxBits {
+		e.fmaxProc, e.fmaxBits, e.fmax = proc, bits, proc.MaxFrequency(e.Supply)
+	}
+	return e.fmax
 }
 
 // OnStep implements circuit.Controller: attribute the cycles executed since

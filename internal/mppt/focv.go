@@ -92,7 +92,7 @@ func (fv *FractionalVoc) OnStep(s *circuit.State) {
 	if floor := 0.01 * s.Processor().MaxFrequency(fv.Supply); fv.freq < floor {
 		fv.freq = floor
 	}
-	if fm := s.Processor().MaxFrequency(s.Supply()); fv.freq > fm {
+	if fm := s.MaxFrequency(s.Supply()); fv.freq > fm {
 		fv.freq = fm
 	}
 	s.SetFrequency(fv.freq)

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"bytes"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -45,6 +48,51 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		if back.String() != canon {
 			t.Fatalf("canonical form is not a fixed point: %q -> %q", canon, back.String())
+		}
+	})
+}
+
+// FuzzReadTrace fuzzes the replay trace-file decoder: no panic, and an
+// accepted file's trace writes back to a file that reads to the same step
+// and samples bit for bit and re-encodes to the same bytes.
+func FuzzReadTrace(f *testing.F) {
+	f.Add(``)
+	f.Add(`nope`)
+	f.Add(`{"format":"hem-light-trace","version":1,"step_s":0.1,"samples":[1,0.5,0]}`)
+	f.Add(`{"format":"hem-light-trace","version":1,"step_s":5e-324,"samples":[-0,0.1,1e308]}`)
+	f.Add(`{"format":"hem-light-trace","version":1,"step_s":0.1,"samples":[1],"extra":1}`)
+	f.Add(`{"format":"hem-light-trace","version":2,"step_s":0.1,"samples":[1]}`)
+	f.Add(`{"format":"hem-light-trace","version":1,"step_s":0,"samples":[1]}`)
+	f.Add(`{"format":"hem-light-trace","version":1,"step_s":0.1,"samples":[1,-2]}`)
+	f.Add(`{"format":"hem-light-trace","version":1,"step_s":0.1,"samples":[]}`)
+	f.Add(`{"format":"hem-light-trace","version":1,"step_s":0.1,"samples":[1]} trailing`)
+	f.Fuzz(func(t *testing.T, data string) {
+		tr, err := ReadTrace(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteTrace(&first, tr); err != nil {
+			t.Fatalf("accepted trace does not encode: %v\ninput: %q", err, data)
+		}
+		back, err := ReadTrace(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("encoded form rejected: %v\nencoded: %q", err, first.Bytes())
+		}
+		if math.Float64bits(back.Step) != math.Float64bits(tr.Step) || len(back.Samples) != len(tr.Samples) {
+			t.Fatalf("round trip moved step %v -> %v or length %d -> %d", tr.Step, back.Step, len(tr.Samples), len(back.Samples))
+		}
+		for i, v := range tr.Samples {
+			if math.Float64bits(back.Samples[i]) != math.Float64bits(v) {
+				t.Fatalf("sample %d moved %v -> %v", i, v, back.Samples[i])
+			}
+		}
+		var second bytes.Buffer
+		if err := WriteTrace(&second, back); err != nil {
+			t.Fatalf("re-read trace does not encode: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("encoding is not canonical:\nfirst:  %q\nsecond: %q", first.Bytes(), second.Bytes())
 		}
 	})
 }
