@@ -4,7 +4,8 @@
 //   - serve (BENCH_serve.json): PV solve cached and uncached, one registry
 //     report render, and the cached experiment HTTP handler.
 //   - sim (BENCH_sim.json): the simulation kernel — the warm-started PV
-//     solve versus the stateless bisection reference, the batched sweep
+//     solve at constant and at per-call varying irradiance versus the
+//     stateless bisection reference, the batched sweep
 //     solver at width 1 and 10k, a 2000-step circuit run with energy
 //     profiling off and on, a 16-lane circuit.RunBatch, pv.Array's global
 //     MPP search under partial shading, a mostly-dark fleet with
@@ -103,14 +104,17 @@ func hotPaths() map[string]hotPath {
 var benchSink float64
 
 // simPaths returns the simulation-kernel paths guarded by BENCH_sim.json.
-// The warm path keeps one pv.SolverState alive across iterations, mirroring
+// The warm paths keep one pv.SolverState alive across iterations, mirroring
 // how circuit.State threads it through a run; the voltage ramps in µV steps
-// so consecutive solves stay close, like vcap between timesteps.
+// so consecutive solves stay close, like vcap between timesteps. The
+// varying path also moves irradiance every call, as an interpolated weather
+// trace does, so each replay starts from the full bracket.
 func simPaths() map[string]hotPath {
 	cell := pv.NewCell()
-	var state pv.SolverState
-	warmIdx, refIdx := 0, 0
+	var state, varyState pv.SolverState
+	warmIdx, varyIdx, refIdx := 0, 0, 0
 	rampVoltage := func(i int) float64 { return 0.95 + 1e-6*float64(i%1000) }
+	rampIrradiance := func(i int) float64 { return 0.8 + 1e-7*float64(i%1000) }
 
 	// ext-shading's graded pattern on its three-cell string: the array
 	// solve that once took over half of `hemsim all`.
@@ -197,6 +201,13 @@ func simPaths() map[string]hotPath {
 			for i := 0; i < n; i++ {
 				benchSink = cell.CurrentWarm(rampVoltage(warmIdx), 0.8, &state)
 				warmIdx++
+			}
+			return nil
+		},
+		"cell_current_warm_varying": func(n int) error {
+			for i := 0; i < n; i++ {
+				benchSink = cell.CurrentWarm(rampVoltage(varyIdx), rampIrradiance(varyIdx), &varyState)
+				varyIdx++
 			}
 			return nil
 		},

@@ -451,9 +451,6 @@ func (s *State) SetBypass(on bool) { s.bypass = on }
 // without a Ledger — controllers may call it unconditionally.
 func (s *State) SetProfilePhase(b prof.Bin) { s.profPhase = b }
 
-// ProfilePhase returns the last declared workload phase.
-func (s *State) ProfilePhase() prof.Bin { return s.profPhase }
-
 // Simulator runs a configured transient simulation, either in one shot
 // (Run) or incrementally as a resumable stepper (Init / StepTo / Outcome,
 // see stepper.go). The two drive the identical per-step kernel, so a run

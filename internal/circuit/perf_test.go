@@ -209,3 +209,35 @@ func TestSupplyMemoCounts(t *testing.T) {
 			p.Steps, p.SupplyMemoHits, p.SupplyMemoMisses, steps, 2*steps-2)
 	}
 }
+
+// TestPVSolverCounts pins the cell solver's work counters on two 400-step
+// FixedPoint runs: one at constant light, where the replay resumes from the
+// previous step's trajectory, and one under a ramp that changes the
+// photocurrent every step, so every replay starts from the full bracket.
+// No solve of the default cell leaves Newton for the reference bisection.
+func TestPVSolverCounts(t *testing.T) {
+	const steps = 400
+	for _, tc := range []struct {
+		name      string
+		irr       func(float64) float64
+		bandEvals int
+	}{
+		{"constant", ConstantIrradiance(1.0), 47},
+		{"ramp", RampIrradiance(1.0, 0.5, 0, steps*5e-6), 78},
+	} {
+		cfg := allocRunConfig(t, steps*5e-6, 0)
+		cfg.Irradiance = tc.irr
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		p := sim.Progress()
+		if p.Steps != steps || p.PVFallbacks != 0 || p.PVBandEvals != tc.bandEvals {
+			t.Errorf("%s: steps %d, fallbacks %d, band evals %d; want %d steps, 0 fallbacks, %d band evals",
+				tc.name, p.Steps, p.PVFallbacks, p.PVBandEvals, steps, tc.bandEvals)
+		}
+	}
+}

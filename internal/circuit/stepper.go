@@ -223,6 +223,13 @@ type Progress struct {
 	// fast-forwarded span looks nothing up.
 	SupplyMemoHits   int
 	SupplyMemoMisses int
+
+	// PVFallbacks and PVBandEvals count the cell solves that fell back
+	// from Newton to the reference bisection and the residuals the
+	// bisection replay evaluated inside its guard band (pv.SolverState).
+	// Work counters, not physics.
+	PVFallbacks int
+	PVBandEvals int
 }
 
 // Progress returns the current mid-run snapshot.
@@ -243,6 +250,8 @@ func (s *Simulator) Progress() Progress {
 
 		SupplyMemoHits:   st.supply.hits,
 		SupplyMemoMisses: st.supply.misses,
+		PVFallbacks:      st.pvSolver.Fallbacks,
+		PVBandEvals:      st.pvSolver.BandEvals,
 	}
 }
 

@@ -67,7 +67,7 @@ func (m *Manager) PlanPerformance(irradiance float64) (Point, error) {
 	d := m.sys.DecideBypass(m.r, irradiance)
 	if trace.On(m.tracer) {
 		// Planning is timeless: plan events sit at t=0 on the sim clock and
-		// rely on sequence order (e.g. an Envelope sweep emits one per level).
+		// rely on sequence order.
 		pt := d.Regulated
 		if d.Bypass {
 			pt = d.Unregulated

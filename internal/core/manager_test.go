@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/pv"
 	"repro/internal/reg"
+	"repro/internal/trace"
 )
 
 func testManager() *Manager {
@@ -164,38 +165,6 @@ func TestManagerAccessors(t *testing.T) {
 	}
 }
 
-func TestEnvelope(t *testing.T) {
-	m := testManager()
-	env := m.Envelope(0.05, 1.0, 40)
-	if len(env) != 40 {
-		t.Fatalf("got %d points", len(env))
-	}
-	// Frequency non-decreasing with light among runnable points.
-	prev := -1.0
-	for _, ep := range env {
-		if !ep.Runnable {
-			continue
-		}
-		if ep.Point.Frequency < prev-1e3 {
-			t.Fatalf("frequency fell with more light at irr=%.3f", ep.Irradiance)
-		}
-		prev = ep.Point.Frequency
-	}
-	// The mode boundary matches the analytic crossover.
-	boundary := BypassBoundary(env)
-	crossover := m.System().BypassCrossover(m.Regulator(), 0.02, 1.0)
-	if math.Abs(boundary-crossover) > 0.05 {
-		t.Errorf("envelope boundary %.3f vs analytic crossover %.3f", boundary, crossover)
-	}
-	// Degenerate sweeps return nil.
-	if m.Envelope(1.0, 0.5, 10) != nil || m.Envelope(0.1, 1.0, 1) != nil {
-		t.Error("degenerate sweep should return nil")
-	}
-	if BypassBoundary(nil) != 0 {
-		t.Error("empty envelope boundary should be 0")
-	}
-}
-
 func TestRunDeadlineJobQuantizedClock(t *testing.T) {
 	m := testManager()
 	storage, err := cap.New(100e-6, 1.09, 2.0)
@@ -228,5 +197,63 @@ func TestRunDeadlineJobQuantizedClock(t *testing.T) {
 		if !onGrid {
 			t.Fatalf("off-grid frequency %.4g Hz in trace", s.Frequency)
 		}
+	}
+}
+
+func TestPlanPerformanceEmitsPlanEvent(t *testing.T) {
+	rec := trace.NewRecorder()
+	m := testManager().WithTracer(rec)
+	if _, err := m.PlanPerformance(1.0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PlanPerformance(0.1); err != nil {
+		t.Fatal(err)
+	}
+	events := rec.Events()
+	if len(events) != 2 {
+		t.Fatalf("got %d events, want 2", len(events))
+	}
+	for _, ev := range events {
+		if ev.Kind != "core.plan" || ev.Clock != trace.ClockSim {
+			t.Errorf("unexpected event %+v", ev)
+		}
+	}
+	if b, ok := events[1].Args["bypass"].(bool); !ok || !b {
+		t.Errorf("dim plan event should carry bypass=true, got %v", events[1].Args["bypass"])
+	}
+}
+
+func TestRunConfigTracerOverridesManager(t *testing.T) {
+	mgrRec := trace.NewRecorder()
+	runRec := trace.NewRecorder()
+	m := testManager().WithTracer(mgrRec)
+	storage, err := cap.New(100e-6, 1.09, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.RunDeadlineJob(DeadlineRunConfig{
+		Cap:        storage,
+		Irradiance: circuit.ConstantIrradiance(1.0),
+		Cycles:     4e6,
+		Deadline:   20e-3,
+		Tracer:     runRec,
+		TraceTrack: "override",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Outcome.Completed {
+		t.Fatalf("job did not complete")
+	}
+	if runRec.Len() == 0 {
+		t.Fatal("override tracer saw no events")
+	}
+	for _, ev := range runRec.Events() {
+		if ev.Track != "override" {
+			t.Errorf("event track = %q, want override", ev.Track)
+		}
+	}
+	if mgrRec.Len() != 0 {
+		t.Errorf("manager tracer saw %d events despite the override", mgrRec.Len())
 	}
 }

@@ -38,10 +38,6 @@ var (
 	// ErrUnreachableFrequency indicates that no voltage within the valid
 	// operating range reaches the requested frequency.
 	ErrUnreachableFrequency = errors.New("cpu: frequency unreachable within voltage range")
-
-	// ErrInsufficientPower indicates a power budget too small to run the
-	// processor at any valid operating point.
-	ErrInsufficientPower = errors.New("cpu: power budget below minimum operating power")
 )
 
 // Processor is a compact power/performance model of a microprocessor core.
@@ -400,30 +396,6 @@ func (p *Processor) VoltageForFrequencyWarm(f float64, state *FreqSolverState) (
 		v = p.minVoltage
 	}
 	return v, nil
-}
-
-// VoltageForMaxPower returns the supply voltage (V) at which full-speed
-// operation consumes exactly budget watts. MaxPower is strictly increasing
-// in voltage above threshold, so the solution is unique. It returns
-// ErrInsufficientPower when the budget is below the minimum operating power
-// and caps at MaxVoltage when the budget exceeds the maximum draw.
-func (p *Processor) VoltageForMaxPower(budget float64) (float64, error) {
-	if budget < p.MaxPower(p.minVoltage) {
-		return 0, ErrInsufficientPower
-	}
-	if budget >= p.MaxPower(p.maxVoltage) {
-		return p.maxVoltage, nil
-	}
-	lo, hi := p.minVoltage, p.maxVoltage
-	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
-		mid := 0.5 * (lo + hi)
-		if p.MaxPower(mid) < budget {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 0.5 * (lo + hi), nil
 }
 
 // FrequencyForPower returns the highest clock frequency (Hz) sustainable at

@@ -133,25 +133,6 @@ func TestVoltageForFrequencyInverse(t *testing.T) {
 	}
 }
 
-func TestVoltageForMaxPower(t *testing.T) {
-	p := NewProcessor()
-	for _, budget := range []float64{1e-3, 5e-3, 20e-3} {
-		v, err := p.VoltageForMaxPower(budget)
-		if err != nil {
-			t.Fatalf("budget=%g: %v", budget, err)
-		}
-		if math.Abs(p.MaxPower(v)-budget)/budget > 1e-3 {
-			t.Errorf("budget=%g: P(%.4f V) = %.6g", budget, v, p.MaxPower(v))
-		}
-	}
-	if _, err := p.VoltageForMaxPower(1e-9); !errors.Is(err, ErrInsufficientPower) {
-		t.Errorf("want ErrInsufficientPower, got %v", err)
-	}
-	if v, err := p.VoltageForMaxPower(10); err != nil || v != p.MaxVoltage() {
-		t.Errorf("huge budget: got %v, %v, want max voltage", v, err)
-	}
-}
-
 func TestFrequencyForPower(t *testing.T) {
 	p := NewProcessor()
 	v := 0.6

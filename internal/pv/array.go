@@ -20,31 +20,18 @@ var (
 // NewArray.
 type Array struct {
 	segments    []*Cell
-	bypassDrop  float64 // forward drop of each bypass diode (V)
 	maxSegmentI float64 // cached search bound (A)
 }
 
-// ArrayOption configures an Array.
-type ArrayOption func(*Array)
-
-// WithBypassDrop sets the bypass diodes' forward drop (V).
-func WithBypassDrop(v float64) ArrayOption {
-	return func(a *Array) { a.bypassDrop = v }
-}
+// bypassDrop is the forward drop of each bypass diode (V).
+const bypassDrop = 0.35
 
 // NewArray builds a series string over the given segments.
-func NewArray(segments []*Cell, opts ...ArrayOption) (*Array, error) {
+func NewArray(segments []*Cell) (*Array, error) {
 	if len(segments) == 0 {
 		return nil, ErrNoSegments
 	}
-	a := &Array{
-		segments:   segments,
-		bypassDrop: 0.35,
-	}
-	for _, opt := range opts {
-		opt(a)
-	}
-	return a, nil
+	return &Array{segments: segments}, nil
 }
 
 // Segments returns the number of series segments.
@@ -95,7 +82,7 @@ func (a *Array) newSolver(irradiances []float64) *stringSolver {
 func (s *stringSolver) segmentVoltage(i int, current float64) float64 {
 	if s.irrs[i] <= 0 || current >= s.iscs[i] {
 		// Dark or over-driven: the bypass diode conducts.
-		return -s.arr.bypassDrop
+		return -bypassDrop
 	}
 	if s.reference {
 		return s.segmentVoltageReference(i, current)

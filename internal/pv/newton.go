@@ -38,6 +38,30 @@ package pv
 // CurrentReference for every input while evaluating the exponential a
 // handful of times instead of ~45.
 //
+// The replay's deep levels run on integers (bisectBits). Once lo and hi
+// are both positive, normal and in one binade [2^e, 2^(e+1)) below the
+// largest, with ulp u = 2^(e-52), the bisection's float arithmetic is
+// exact integer arithmetic on their bit patterns lb, hb:
+//
+//   - lo+hi lies in the next binade, where it rounds to a multiple of 2u,
+//     and 0.5*(lo+hi) is then exact, so the bits of mid are the halved
+//     sum s = lb+hb rounded to nearest even: m = s>>1, m += s & m & 1.
+//     The result stays inside [lo, hi], so the bracket keeps its binade.
+//   - hi-lo = (hb-lb)*u is exact (Sterbenz: hi/2 <= lo <= hi), so the
+//     loop test "hi-lo > tol" is "hb-lb > floor(tol/u)". tol/u is a
+//     power-of-two scaling, exact, and below 2^52 whenever a level
+//     remains (hi-lo < 2^e), so it converts to uint64 without loss.
+//   - positive floats order as their bits, so "mid < root" is the
+//     unsigned compare mb < rb, with rb = 0 when root <= 0 (no mid is).
+//
+// The select takes a mask from the sign of mb-rb rather than a branch: the
+// decisions are the binary digits of the root's position, which a branch
+// predictor cannot learn. The levels before the bracket settles into one
+// positive binade, and brackets that never do (negative or mixed-sign
+// roots), run the floating-point loop; the guard-band test stays in
+// floating point at every level, so the integer loop hands exactly the
+// same probe to the banded loop. segmentSolve.replay shares bisectBits.
+//
 // Robustness. Whenever the fast path's assumptions do not hold — degenerate
 // cell parameters, non-finite inputs, a Newton iteration that fails to
 // converge or produces non-finite values — the solve falls back to the
@@ -129,10 +153,15 @@ type SolverState struct {
 	// Taylor update instead of a fresh exp. The anchor is a pure fact about
 	// exp — it stays valid across cells and parameter changes.
 	expArg, expVal float64
+
+	// Work counters, not results: Fallbacks counts the solves that left
+	// Newton for the reference bisection, BandEvals the residuals the
+	// replay evaluated for probes inside its guard band.
+	Fallbacks, BandEvals int
 }
 
-// Reset discards the stored operating point, forcing the next solve to cold
-// start.
+// Reset discards the stored operating point and zeroes the counters,
+// forcing the next solve to cold start.
 func (s *SolverState) Reset() { *s = SolverState{} }
 
 // CurrentWarm returns exactly Current(v, irradiance), reusing state to
@@ -188,6 +217,7 @@ func (c *Cell) currentFast(v, iph float64, state *SolverState) float64 {
 	}
 	if state != nil {
 		state.warm = false
+		state.Fallbacks++
 	}
 	return c.currentBisect(v, iph)
 }
@@ -356,7 +386,9 @@ func (c *Cell) replayBisect(v, iph, root float64, state *SolverState) float64 {
 	bandLo, bandHi := root-margin, root+margin
 	lo, hi := -iph, iph
 	start := 0
-	record := false
+	// stack records this run's brackets for the next solve's resume; nil
+	// when the run is not recorded.
+	var stack *[maxSolverIterations + 1][2]float64
 	if state != nil {
 		// Resume from the deepest recorded bracket that still strictly
 		// contains the guard band: nesting makes validity monotone in
@@ -406,21 +438,21 @@ func (c *Cell) replayBisect(v, iph, root float64, state *SolverState) float64 {
 			state.cacheIph = iph
 			state.depth = 0
 		}
-		record = true
+		stack = &state.stack
 	}
-	if start == 0 && c.residualNegative(v, iph, lo, bandLo, bandHi) {
+	if start == 0 && c.residualNegative(v, iph, lo, bandLo, bandHi, state) {
 		// Bracket extension: the root lies below -iph (far beyond Voc).
 		// The trajectory invariants do not cover extension probes, so this
 		// run is not recorded and any cache is dropped.
 		if state != nil {
 			state.cacheIph = 0
-			record = false
+			stack = nil
 		}
-		for iter := 0; c.residualNegative(v, iph, lo, bandLo, bandHi) && iter < maxSolverIterations; iter++ {
+		for iter := 0; c.residualNegative(v, iph, lo, bandLo, bandHi, state) && iter < maxSolverIterations; iter++ {
 			lo *= 2
 		}
 	}
-	// Main loops. Each sign test inlines "f(mid) > 0": strictly decreasing
+	// Main loop. Each sign test inlines "f(mid) > 0": strictly decreasing
 	// f makes the sign follow from the probe's position relative to the
 	// root outside the guard band; inside it control jumps to the banded
 	// loop, which evaluates the true residual exactly as the bisection
@@ -430,41 +462,33 @@ func (c *Cell) replayBisect(v, iph, root float64, state *SolverState) float64 {
 	// decisions themselves are the binary expansion of the root's position
 	// within the bracket — unpredictable — so the select is routed through
 	// integer conditional moves instead of a data-dependent branch that
-	// would mispredict on most iterations.
+	// would mispredict on most iterations. Once the bracket settles into one
+	// positive binade the remaining levels run on its bits (bisectBits).
 	iter := start
-	if record {
-		for ; iter < maxSolverIterations && hi-lo > 1e-12; iter++ {
-			state.stack[iter] = [2]float64{lo, hi}
-			mid := 0.5 * (lo + hi)
-			if math.Abs(mid-root) <= margin { // rare, well-predicted
+	for ; iter < maxSolverIterations && hi-lo > 1e-12; iter++ {
+		if sameBinade(lo, hi) {
+			var inBand bool
+			if lo, hi, iter, inBand = bisectBits(lo, hi, root, margin, 1e-12, iter, stack); inBand {
 				goto banded
 			}
-			mb := math.Float64bits(mid)
-			nl, nh := math.Float64bits(lo), mb
-			if mid < root {
-				nl = mb
-			}
-			if mid < root {
-				nh = math.Float64bits(hi)
-			}
-			lo, hi = math.Float64frombits(nl), math.Float64frombits(nh)
+			break
 		}
-	} else {
-		for ; iter < maxSolverIterations && hi-lo > 1e-12; iter++ {
-			mid := 0.5 * (lo + hi)
-			if math.Abs(mid-root) <= margin { // rare, well-predicted
-				goto banded
-			}
-			mb := math.Float64bits(mid)
-			nl, nh := math.Float64bits(lo), mb
-			if mid < root {
-				nl = mb
-			}
-			if mid < root {
-				nh = math.Float64bits(hi)
-			}
-			lo, hi = math.Float64frombits(nl), math.Float64frombits(nh)
+		if stack != nil {
+			stack[iter] = [2]float64{lo, hi}
 		}
+		mid := 0.5 * (lo + hi)
+		if math.Abs(mid-root) <= margin { // rare, well-predicted
+			goto banded
+		}
+		mb := math.Float64bits(mid)
+		nl, nh := math.Float64bits(lo), mb
+		if mid < root {
+			nl = mb
+		}
+		if mid < root {
+			nh = math.Float64bits(hi)
+		}
+		lo, hi = math.Float64frombits(nl), math.Float64frombits(nh)
 	}
 	goto done
 banded:
@@ -472,11 +496,14 @@ banded:
 	// hugs the root and further in-band probes are likely, so the rest of
 	// the run stays in this full-fidelity loop.
 	for ; iter < maxSolverIterations && hi-lo > 1e-12; iter++ {
-		if record {
-			state.stack[iter] = [2]float64{lo, hi}
+		if stack != nil {
+			stack[iter] = [2]float64{lo, hi}
 		}
 		mid := 0.5 * (lo + hi)
 		if math.Abs(mid-root) <= margin {
+			if state != nil {
+				state.BandEvals++
+			}
 			if c.loadResidual(v, iph, mid) > 0 {
 				lo = mid
 			} else {
@@ -489,23 +516,69 @@ banded:
 		}
 	}
 done:
-	if record {
-		state.stack[iter] = [2]float64{lo, hi}
+	if stack != nil {
+		stack[iter] = [2]float64{lo, hi}
 		state.depth = iter
 	}
 	return 0.5 * (lo + hi)
 }
 
+// sameBinade reports whether lo and hi are both positive, normal and share
+// one binade below the largest, the precondition of bisectBits.
+func sameBinade(lo, hi float64) bool {
+	e := math.Float64bits(lo) >> 52
+	return e == math.Float64bits(hi)>>52 && e-1 < 0x7fd
+}
+
+// bisectBits runs the bisection levels "mid := 0.5*(lo+hi); if mid < root
+// { lo = mid } else { hi = mid }" of a sameBinade bracket on the ends' bit
+// patterns, bit-identically to the floating-point arithmetic (see the
+// Bit-exactness note at the top of this file). It records each level's
+// bracket in stack when non-nil, exactly as the floating-point loop does,
+// and stops once the width is at most tol, at the iteration cap, or before
+// a probe that lies within margin of root; inBand reports the last case,
+// leaving that probe for the caller's full-fidelity loop.
+func bisectBits(lo, hi, root, margin, tol float64, iter int, stack *[maxSolverIterations + 1][2]float64) (_, _ float64, _ int, inBand bool) {
+	lb, hb := math.Float64bits(lo), math.Float64bits(hi)
+	// The caller's loop test hi-lo > tol held, so tol/ulp < 2^52.
+	ulp := math.Float64frombits(lb&^(1<<52-1)) * 0x1p-52
+	minGap := uint64(tol / ulp)
+	var rb uint64 // mid < root as an unsigned compare; no mid lies below 0
+	if root > 0 {
+		rb = math.Float64bits(root)
+	}
+	for ; iter < maxSolverIterations && hb-lb > minGap; iter++ {
+		if stack != nil {
+			stack[iter] = [2]float64{math.Float64frombits(lb), math.Float64frombits(hb)}
+		}
+		s := lb + hb
+		mb := s >> 1
+		mb += s & mb & 1 // round the halved sum to even
+		if math.Abs(math.Float64frombits(mb)-root) <= margin {
+			inBand = true
+			break
+		}
+		lower := uint64(int64(mb-rb) >> 63) // all ones when mid < root
+		lb = lb&^lower | mb&lower
+		hb = mb&^lower | hb&lower
+	}
+	return math.Float64frombits(lb), math.Float64frombits(hb), iter, inBand
+}
+
 // residualNegative reports f(i) < 0 by the same argument as the inline sign
 // test in replayBisect. It is not the negation of "f(i) > 0": the
 // bisection's two predicates both treat an exactly-zero residual as false,
-// and the replay preserves that.
-func (c *Cell) residualNegative(v, iph, i, bandLo, bandHi float64) bool {
+// and the replay preserves that. An evaluation is counted in state when
+// non-nil.
+func (c *Cell) residualNegative(v, iph, i, bandLo, bandHi float64, state *SolverState) bool {
 	if i < bandLo {
 		return false
 	}
 	if i > bandHi {
 		return true
+	}
+	if state != nil {
+		state.BandEvals++
 	}
 	return c.loadResidual(v, iph, i) < 0
 }

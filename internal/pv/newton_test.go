@@ -168,6 +168,27 @@ func TestCurrentFastDegenerateFallsBack(t *testing.T) {
 		if !same(got, want) || !same(gotWarm, want) {
 			t.Errorf("%s: Current=%v CurrentWarm=%v reference=%v", tc.name, got, gotWarm, want)
 		}
+		if warm.Fallbacks != 1 || warm.BandEvals != 0 {
+			t.Errorf("%s: counted %d fallbacks, %d band evals; want 1, 0", tc.name, warm.Fallbacks, warm.BandEvals)
+		}
+	}
+}
+
+// TestZeroSaturationCurrentMatchesReference covers a cell with no diode
+// current (I0 = 0) at a diode voltage where exp(vd/s) overflows: the
+// reference once took 0*Inf = NaN as the diode current there and bisected
+// on NaN signs to 1.03 A, while the fast path, which skips the diode when
+// I0 = 0, returned the true Iph/(1+Rs/Rsh).
+func TestZeroSaturationCurrentMatchesReference(t *testing.T) {
+	c := NewCell(WithPhotoCurrent(0.75), WithSaturationCurrent(0),
+		WithSeriesResistance(80), WithShuntResistance(42))
+	want := c.CurrentReference(0, 8)
+	if exact := 6 / (1 + 80.0/42); math.Abs(want-exact) > 1e-12 {
+		t.Errorf("CurrentReference(0, 8) = %v, want %v", want, exact)
+	}
+	var warm SolverState
+	if got, gotWarm := c.Current(0, 8), c.CurrentWarm(0, 8, &warm); got != want || gotWarm != want {
+		t.Errorf("Current = %v, CurrentWarm = %v, reference %v", got, gotWarm, want)
 	}
 }
 
@@ -189,6 +210,97 @@ func TestOperatingPointBranchesUnchanged(t *testing.T) {
 	// bisects to within the voltage tolerance of it.
 	if voc := c.OpenCircuitVoltage(0.5); math.Abs(v-voc) > voltageSolveTolerance {
 		t.Errorf("zero load floats at %v, want Voc %v (+/- %g)", v, voc, voltageSolveTolerance)
+	}
+}
+
+// bisectFloat is the floating-point loop bisectBits replaces, with the
+// same stopping rules and recording.
+func bisectFloat(lo, hi, root, margin, tol float64, iter int, stack *[maxSolverIterations + 1][2]float64) (float64, float64, int, bool) {
+	for ; iter < maxSolverIterations && hi-lo > tol; iter++ {
+		stack[iter] = [2]float64{lo, hi}
+		mid := 0.5 * (lo + hi)
+		if math.Abs(mid-root) <= margin {
+			return lo, hi, iter, true
+		}
+		if mid < root {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, hi, iter, false
+}
+
+// TestBisectBitsMatchesFloat checks the integer bisection against the
+// floating-point loop on random same-binade brackets across the exponent
+// range: log-uniform widths (odd ulp sums exercise the ties-to-even fix),
+// tolerances that are exact multiples of the ulp (so a level lands on the
+// stopping width exactly), roots inside, outside and below zero, and
+// guard bands from none to wide.
+func TestBisectBitsMatchesFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var want, got [maxSolverIterations + 1][2]float64
+	for n := 0; n < 20000; n++ {
+		e := rng.Intn(2040) - 1020
+		base, ulp := math.Ldexp(1, e), math.Ldexp(1, e-52)
+		lo := base * (1 + 0.5*rng.Float64())
+		width := float64(1+rng.Int63n(1<<uint(1+rng.Intn(50)))) * ulp
+		hi := lo + width
+		if !sameBinade(lo, hi) {
+			t.Fatalf("bracket [%v, %v] left its binade", lo, hi)
+		}
+		var tol float64
+		switch rng.Intn(3) {
+		case 0:
+			tol = math.Floor(rng.Float64()*width/ulp) * ulp
+		case 1:
+			tol = rng.Float64() * width
+		}
+		var root float64
+		switch rng.Intn(4) {
+		case 0:
+			root = lo + rng.Float64()*width
+		case 1:
+			root = lo + (2*rng.Float64()-0.5)*width
+		case 2:
+			root = 0.5 * (lo + hi) // the first probe itself
+		case 3:
+			root = -rng.Float64() * hi
+		}
+		margin := 0.0
+		if rng.Intn(2) == 0 {
+			margin = math.Ldexp(rng.Float64(), -rng.Intn(60)) * width
+		}
+		wl, wh, wi, wb := bisectFloat(lo, hi, root, margin, tol, 3, &want)
+		gl, gh, gi, gb := bisectBits(lo, hi, root, margin, tol, 3, &got)
+		if gl != wl || gh != wh || gi != wi || gb != wb || got != want {
+			t.Fatalf("bracket [%v, %v] root %v margin %v tol %v: bits [%v, %v] at %d band %v, float [%v, %v] at %d band %v",
+				lo, hi, root, margin, tol, gl, gh, gi, gb, wl, wh, wi, wb)
+		}
+	}
+}
+
+// TestSameBinade pins the integer bisection's precondition at its edges.
+func TestSameBinade(t *testing.T) {
+	for _, tc := range []struct {
+		lo, hi float64
+		want   bool
+	}{
+		{1, 1.5, true},
+		{1, math.Nextafter(2, 0), true},
+		{0.75, 1, false},
+		{0, 1e-300, false},
+		{-1.5, -1, false},
+		{-1, 1, false},
+		{5e-324, 1e-323, false}, // subnormal
+		{0x1p-1022, 0x1.8p-1022, true},
+		{0x1p1022, 0x1.8p1022, true},
+		{0x1p1023, math.MaxFloat64, false}, // lo+hi would overflow
+		{math.Inf(1), math.Inf(1), false},
+	} {
+		if got := sameBinade(tc.lo, tc.hi); got != tc.want {
+			t.Errorf("sameBinade(%v, %v) = %v, want %v", tc.lo, tc.hi, got, tc.want)
+		}
 	}
 }
 
@@ -230,6 +342,57 @@ func FuzzCurrentSolverParity(f *testing.F) {
 	})
 }
 
+// FuzzCurrentWarmSequence carries one SolverState through a short sequence
+// of (v, irradiance) pairs: irradiance changes on every call in the seeded
+// shapes, and a call may resume from a bracket stack recorded at another
+// voltage. Every result must equal the reference bisection.
+func FuzzCurrentWarmSequence(f *testing.F) {
+	// Default calibration; irradiance drifting by a hair per call, as an
+	// interpolated weather trace does, around the knee.
+	f.Add(16e-3, 9.5e-8, 2.0, 3000.0, 0.95, 0.8, 1e-6, 1e-7, uint8(8))
+	// The same walk at constant irradiance: the resume path.
+	f.Add(16e-3, 9.5e-8, 2.0, 3000.0, 0.95, 0.8, 1e-6, 0.0, uint8(8))
+	// Tiny photocurrents: subnormal, then normal but far below 1e-12 A.
+	f.Add(16e-3, 9.5e-8, 2.0, 3000.0, 0.3, 1e-308, 1e-3, 1e-309, uint8(6))
+	f.Add(16e-3, 9.5e-8, 2.0, 3000.0, 0.0, 1e-12, 0.0, 1e-13, uint8(6))
+	// Roots exactly on a power of two: with no diode, Iph = 0.75 A,
+	// Rs = 2 and Rsh = 4 put I* = 0.5 A at 0 V; at V = -Rs*Iph the diode
+	// voltage is 0 and I* = Iph = 1 A, the bracket's upper end.
+	f.Add(0.75, 0.0, 2.0, 4.0, 0.0, 1.0, 0.0, 0.0, uint8(4))
+	f.Add(0.75, 0.0, 2.0, 4.0, 0.0, 1.0, 1e-9, 0.25, uint8(4))
+	f.Add(1.0, 0.0, 1e-3, 1e7, -1e-3, 1.0, 0.0, 0.0, uint8(4))
+	// No diode current with exp(vd/s) overflowing.
+	f.Add(0.75, 0.0, 80.0, 42.0, 0.0, 8.0, 6.75e-9, 0.25, uint8(2))
+	// Beyond Voc: negative roots, then the bracket extension.
+	f.Add(16e-3, 9.5e-8, 2.0, 3000.0, 1.45, 0.25, 0.5, 0.05, uint8(8))
+	f.Add(16e-3, 9.5e-8, 2.0, 3000.0, 15.0, 0.25, -1.0, 0.1, uint8(8))
+	f.Fuzz(func(t *testing.T, iph, i0, rs, rsh, v0, irr0, dv, dirr float64, steps uint8) {
+		if !(iph > 0 && iph <= 1) || !(i0 >= 0 && i0 <= 1e-3) ||
+			!(rs > 0 && rs <= 100) || !(rsh >= 1 && rsh <= 1e7) ||
+			!(v0 >= -10 && v0 <= 50) || !(irr0 > 0 && irr0 <= 10) ||
+			!(math.Abs(dv) <= 1) || !(math.Abs(dirr) <= 1) {
+			t.Skip()
+		}
+		c := NewCell(
+			WithPhotoCurrent(iph), WithSaturationCurrent(i0),
+			WithSeriesResistance(rs), WithShuntResistance(rsh),
+		)
+		var warm SolverState
+		for k := 0; k < 1+int(steps%16); k++ {
+			// The voltage walks 0, dv, 2dv, 0, ... so later calls resume
+			// from brackets recorded at a neighbouring voltage.
+			v := v0 + float64(k%3)*dv
+			irr := irr0 + float64(k)*dirr
+			if !(irr > 0 && irr <= 10) || !(v >= -10 && v <= 50) {
+				break
+			}
+			if got, want := c.CurrentWarm(v, irr, &warm), c.CurrentReference(v, irr); got != want {
+				t.Fatalf("call %d: CurrentWarm(%g, %g) = %v, reference %v", k, v, irr, got, want)
+			}
+		}
+	})
+}
+
 // --- Benchmarks: the kernel-level speedup the PR claims. ---
 
 // rampVoltage mimics one simulation step's voltage motion: microvolt-scale
@@ -247,6 +410,26 @@ func BenchmarkCellCurrentWarm(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sink = c.CurrentWarm(rampVoltage(i), 0.8, &warm)
+	}
+	benchSink = sink
+}
+
+// rampIrradiance moves irradiance a hair every call, as an interpolated
+// weather trace does between steps: the photocurrent changes each solve, so
+// the replay cannot resume from the previous trajectory.
+func rampIrradiance(i int) float64 {
+	return 0.8 + 1e-7*float64(i%1000)
+}
+
+// BenchmarkCellCurrentWarmVarying measures the warm solve when irradiance
+// changes every call: warm Newton, then the replay from the full bracket.
+func BenchmarkCellCurrentWarmVarying(b *testing.B) {
+	c := NewCell()
+	var warm SolverState
+	var sink float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = c.CurrentWarm(rampVoltage(i), rampIrradiance(i), &warm)
 	}
 	benchSink = sink
 }

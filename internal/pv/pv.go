@@ -153,9 +153,11 @@ func (c *Cell) Current(v, irradiance float64) float64 {
 	return c.currentFast(v, iph, nil)
 }
 
-// diodeCurrent returns the diode branch current at diode voltage vd.
+// diodeCurrent returns the diode branch current at diode voltage vd. A
+// cell without saturation current has no diode current at any vd, also
+// where exp(vd/s) overflows (0*Inf would be NaN).
 func (c *Cell) diodeCurrent(vd float64) float64 {
-	if vd <= 0 {
+	if vd <= 0 || c.saturationCurrent == 0 {
 		return 0
 	}
 	return c.saturationCurrent * (math.Exp(vd/c.junctionScale()) - 1)

@@ -203,6 +203,12 @@ func (g *segmentSolve) solve(current float64) (vstar, band float64, ok bool) {
 func (g *segmentSolve) replay(cell *Cell, irr, voc, current, vstar, band float64) float64 {
 	lo, hi := 0.0, voc
 	for iter := 0; iter < maxSolverIterations && hi-lo > voltageSolveTolerance; iter++ {
+		if sameBinade(lo, hi) {
+			var inBand bool
+			if lo, hi, iter, inBand = bisectBits(lo, hi, vstar, band, voltageSolveTolerance, iter, nil); !inBand {
+				break
+			}
+		}
 		mid := 0.5 * (lo + hi)
 		above := mid < vstar // Cell.Current(mid) > current
 		if math.Abs(mid-vstar) <= band {
