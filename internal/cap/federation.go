@@ -1,9 +1,6 @@
 package cap
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Federation errors.
 var (
@@ -63,17 +60,6 @@ func NewFederation(members []*Capacitor, opts ...FederationOption) (*Federation,
 
 // Active returns the index of the member currently on the node.
 func (f *Federation) Active() int { return f.active }
-
-// Switches returns how many selector actuations have occurred.
-func (f *Federation) Switches() int { return f.switches }
-
-// Member returns the i-th member for inspection.
-func (f *Federation) Member(i int) (*Capacitor, error) {
-	if i < 0 || i >= len(f.members) {
-		return nil, fmt.Errorf("cap: federation has no member %d", i)
-	}
-	return f.members[i], nil
-}
 
 // Voltage implements circuit.Storage: the active member's voltage.
 func (f *Federation) Voltage() float64 {

@@ -26,13 +26,6 @@ func TestFederationValidation(t *testing.T) {
 	if _, err := NewFederation(nil); err == nil {
 		t.Error("empty federation accepted")
 	}
-	f := mustFed(t, []float64{1e-6})
-	if _, err := f.Member(5); err == nil {
-		t.Error("out-of-range member accepted")
-	}
-	if m, err := f.Member(0); err != nil || m == nil {
-		t.Errorf("member 0: %v", err)
-	}
 }
 
 func TestFederationColdStartFasterThanMonolith(t *testing.T) {
@@ -76,10 +69,10 @@ func TestFederationBanksSurplusIntoLargerMember(t *testing.T) {
 	if f.Active() != 1 {
 		t.Fatal("selector never advanced to the large member")
 	}
-	if f.Switches() == 0 {
+	if f.switches == 0 {
 		t.Error("switch count not recorded")
 	}
-	small, _ := f.Member(0)
+	small := f.members[0]
 	if small.Voltage() < 1.0-1e-6 {
 		t.Errorf("small member handed off at %.3f V, want ~1.0 V", small.Voltage())
 	}
@@ -122,14 +115,8 @@ func TestFederationFallsBackToBankedEnergy(t *testing.T) {
 
 func TestFederationEnergyAggregates(t *testing.T) {
 	f := mustFed(t, []float64{10e-6, 100e-6})
-	s0, _ := f.Member(0)
-	s1, _ := f.Member(1)
-	if err := s0.SetVoltage(1.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.SetVoltage(0.5); err != nil {
-		t.Fatal(err)
-	}
+	f.members[0].voltage = 1.0
+	f.members[1].voltage = 0.5
 	want := 0.5*10e-6*1 + 0.5*100e-6*0.25
 	if math.Abs(f.Energy()-want) > 1e-12 {
 		t.Errorf("energy = %g, want %g", f.Energy(), want)
@@ -143,7 +130,7 @@ func TestFederationSingleMemberDegeneratesToCapacitor(t *testing.T) {
 	if math.Abs(f.Voltage()-want) > 1e-9 {
 		t.Errorf("voltage = %g, want %g", f.Voltage(), want)
 	}
-	if f.Switches() != 0 {
+	if f.switches != 0 {
 		t.Error("single member should never switch")
 	}
 }

@@ -11,12 +11,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cap"
 	"repro/internal/cpu"
-	"repro/internal/fault"
 	"repro/internal/pv"
 	"repro/internal/reg"
 	"repro/internal/trace"
@@ -200,9 +200,31 @@ func TestFastForwardStepToResume(t *testing.T) {
 	}
 }
 
+// carveWindow returns the piecewise-constant plan (times, levels) with
+// every level on [start, end) multiplied by depth, adding the window's
+// edges as segment starts.
+func carveWindow(times, levels []float64, start, end, depth float64) ([]float64, []float64) {
+	base := PiecewiseConstSource{Times: times, Levels: levels}
+	edges := append(append([]float64(nil), times...), start, end)
+	sort.Float64s(edges)
+	var outT, outL []float64
+	for i, t := range edges {
+		if i > 0 && t == edges[i-1] {
+			continue
+		}
+		lvl := base.At(t)
+		if t >= start && t < end {
+			lvl *= depth
+		}
+		outT = append(outT, t)
+		outL = append(outL, lvl)
+	}
+	return outT, outL
+}
+
 // TestFastForwardPropertyParity is the randomized differential test:
 // arbitrary piecewise-constant irradiance plans (with exact-zero spans),
-// optionally wrapped in brownout fault windows, with and without an aux
+// optionally dimmed by brownout-like windows, with and without an aux
 // load and waveform tracing. Fast-forward must be invisible everywhere.
 func TestFastForwardPropertyParity(t *testing.T) {
 	const horizon = 0.12
@@ -224,28 +246,20 @@ func TestFastForwardPropertyParity(t *testing.T) {
 				levels[i] = rng.Float64() * 1.2
 			}
 		}
-		var src EventSource = PiecewiseConstSource{Times: times, Levels: levels}
-
-		// Optionally carve brownout windows on top (depth 0 = darkness).
+		// Optionally carve brownout-like windows on top (depth 0 =
+		// darkness): each dims the plan on [start, end) by its depth.
 		if rng.Intn(2) == 0 {
-			plan := fault.Plan{Seed: seed}
 			for w, k := 0, rng.Intn(3); w < k; w++ {
+				start := rng.Float64() * horizon
+				end := start + 1e-3 + rng.Float64()*horizon/4
 				depth := 0.0
 				if rng.Intn(3) == 0 {
 					depth = rng.Float64() * 0.5
 				}
-				plan.Brownouts = append(plan.Brownouts, fault.Pulse{
-					AtS:       rng.Float64() * horizon,
-					DurationS: 1e-3 + rng.Float64()*horizon/4,
-					Depth:     depth,
-				})
+				times, levels = carveWindow(times, levels, start, end, depth)
 			}
-			b, err := fault.New(plan, "ffwd-prop").Brownouts(horizon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src = b.WrapSource(src)
 		}
+		src := PiecewiseConstSource{Times: times, Levels: levels}
 
 		aux := 0.0
 		if rng.Intn(2) == 0 {

@@ -164,9 +164,10 @@ func TestStateMaxFrequencyMatchesProcessor(t *testing.T) {
 	proc := st.Processor()
 	negZero := math.Copysign(0, -1)
 	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	const vth = 0.32 // NewProcessor's threshold voltage
 	supplies := []float64{
 		0.5, 0.5, 0.5, 0.6, 0.5, 0.6, 0.6,
-		proc.ThresholdVoltage(), proc.MinVoltage(), proc.MinVoltage(), 0.2,
+		vth, proc.MinVoltage(), proc.MinVoltage(), 0.2,
 		0, negZero, 0, negZero, negZero,
 		math.NaN(), math.NaN(), otherNaN, math.NaN(),
 		-0.3, math.Inf(1), math.Inf(-1), proc.MaxVoltage(), 1e-300, 0.5,

@@ -37,32 +37,6 @@ func TestPlanPerformanceFollowsBypassRule(t *testing.T) {
 	}
 }
 
-func TestPlanMinimumEnergy(t *testing.T) {
-	m := testManager()
-	pt, err := m.PlanMinimumEnergy(pv.FullSun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perf, err := m.PlanPerformance(pv.FullSun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The MEP plan runs at a lower voltage and lower energy per cycle than
-	// the performance plan.
-	if pt.Supply >= perf.Supply {
-		t.Errorf("MEP supply %.3f >= performance supply %.3f", pt.Supply, perf.Supply)
-	}
-	// Compare source-side energy per cycle: load energy over conversion
-	// efficiency over frequency.
-	src := func(p Point) float64 { return p.LoadPower / p.Efficiency / p.Frequency }
-	if src(pt) >= src(perf) {
-		t.Errorf("MEP plan source energy %.4g >= performance plan %.4g", src(pt), src(perf))
-	}
-	if _, err := m.PlanMinimumEnergy(0); err == nil {
-		t.Error("darkness should error")
-	}
-}
-
 func TestBuildTrackingTable(t *testing.T) {
 	m := testManager()
 	table := m.BuildTrackingTable([]float64{0.05, 0.25, 1.0})
@@ -140,20 +114,6 @@ func TestRunDeadlineJobConfigErrors(t *testing.T) {
 	}
 	if _, err := m.RunTracked(TrackedRunConfig{}); err == nil {
 		t.Error("missing components should error")
-	}
-}
-
-func TestHeadlineSavings(t *testing.T) {
-	m := testManager()
-	best, at := m.HeadlineSavings([]float64{1.0, 0.5, 0.25})
-	if best < 0.05 || best > 0.45 {
-		t.Errorf("headline savings %.1f%%, want 5-45%% (paper up to ~30%%)", best*100)
-	}
-	if at <= 0 {
-		t.Errorf("best at irradiance %g", at)
-	}
-	if best, _ := m.HeadlineSavings(nil); !math.IsInf(best, -1) {
-		t.Error("empty sweep should return -Inf")
 	}
 }
 

@@ -189,9 +189,6 @@ func (p *Processor) MinVoltage() float64 { return p.minVoltage }
 // MaxVoltage returns the highest rated supply voltage (V).
 func (p *Processor) MaxVoltage() float64 { return p.maxVoltage }
 
-// ThresholdVoltage returns the transistor threshold voltage (V).
-func (p *Processor) ThresholdVoltage() float64 { return p.thresholdVoltage }
-
 // MaxFrequency returns the highest clock frequency (Hz) the core sustains at
 // supply voltage v, per the alpha-power law. It returns 0 at or below the
 // threshold voltage.

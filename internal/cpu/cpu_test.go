@@ -41,7 +41,7 @@ func TestMaxFrequencyMonotone(t *testing.T) {
 		}
 		prev = f
 	}
-	if f := p.MaxFrequency(p.ThresholdVoltage()); f != 0 {
+	if f := p.MaxFrequency(p.thresholdVoltage); f != 0 {
 		t.Errorf("f at threshold = %g, want 0", f)
 	}
 	if f := p.MaxFrequency(0.1); f != 0 {
@@ -85,7 +85,7 @@ func TestLeakageGrowsWithVoltage(t *testing.T) {
 
 func TestEnergyPerCycleShape(t *testing.T) {
 	p := NewProcessor()
-	if !math.IsInf(p.EnergyPerCycle(p.ThresholdVoltage()), 1) {
+	if !math.IsInf(p.EnergyPerCycle(p.thresholdVoltage), 1) {
 		t.Error("energy per cycle at threshold should be +Inf")
 	}
 	mepV, mepE := p.ConventionalMEP()
@@ -170,7 +170,7 @@ func TestOptions(t *testing.T) {
 	if p.MinVoltage() != 0.3 || p.MaxVoltage() != 1.0 {
 		t.Error("voltage range not honoured")
 	}
-	if p.ThresholdVoltage() != 0.25 {
+	if p.thresholdVoltage != 0.25 {
 		t.Error("threshold not honoured")
 	}
 	if got := p.DynamicEnergyPerCycle(1.0); math.Abs(got-50e-12) > 1e-15 {
@@ -358,7 +358,7 @@ func FuzzPowerFromParts(f *testing.F) {
 	negZero := math.Copysign(0, -1)
 	for _, seed := range [][2]float64{
 		{0.5, 50e6}, {0.5, 1e12}, {0.55, math.Inf(1)}, {0.6, 0}, {0.6, negZero}, {0.6, -1},
-		{def.ThresholdVoltage(), 1e6}, {def.MinVoltage(), 1e6}, {0.33, 1e6},
+		{def.thresholdVoltage, 1e6}, {def.MinVoltage(), 1e6}, {0.33, 1e6},
 		{0, 1e6}, {negZero, 1e6}, {-0.3, 1e6}, {math.Inf(1), 1e6},
 		{math.NaN(), 1e6}, {0.6, math.NaN()}, {math.NaN(), math.NaN()},
 	} {

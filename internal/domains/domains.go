@@ -46,14 +46,6 @@ func SqrtUtility(power float64) float64 {
 	return math.Sqrt(power)
 }
 
-// LinearUtility values every delivered watt equally.
-func LinearUtility(power float64) float64 {
-	if power <= 0 {
-		return 0
-	}
-	return power
-}
-
 // Domain is one on-chip power domain.
 type Domain struct {
 	// Name identifies the domain in reports ("core", "sram", "radio").
@@ -248,18 +240,4 @@ func (a *Allocator) Allocate(vin, budget float64) (Allocation, error) {
 		alloc.TotalUtility += u
 	}
 	return alloc, nil
-}
-
-// Sweep evaluates the allocation across budgets, for plotting utility
-// curves and finding the budget at which domains saturate.
-func (a *Allocator) Sweep(vin float64, budgets []float64) ([]Allocation, error) {
-	out := make([]Allocation, 0, len(budgets))
-	for _, b := range budgets {
-		alloc, err := a.Allocate(vin, b)
-		if err != nil {
-			return nil, fmt.Errorf("budget %.4g W: %w", b, err)
-		}
-		out = append(out, alloc)
-	}
-	return out, nil
 }

@@ -26,6 +26,3 @@ func extFleet(o Observe) (*fleet.Report, error) {
 	cfg.ProfileScope = "ext-fleet"
 	return fleet.Run(cfg)
 }
-
-// ExtFleet runs the demo fleet for the registry.
-func ExtFleet() (*fleet.Report, error) { return extFleet(Observe{}) }

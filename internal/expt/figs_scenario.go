@@ -31,6 +31,3 @@ func extScenario(o Observe) (*scenario.Report, error) {
 		ProfileScope: "ext-scenario",
 	})
 }
-
-// ExtScenario runs the demo scenario for the registry.
-func ExtScenario() (*scenario.Report, error) { return extScenario(Observe{}) }

@@ -140,8 +140,9 @@ func (n NVMPlan) validate() error {
 // ServePlan injects faults into the HTTP serving layer. Latency fields add
 // a per-request delay (base plus uniform jitter); ErrorProb fails the
 // request outright with ErrorStatus (default 500) before the handler runs;
-// RenderErrorProb fails individual report renders inside the simulation
-// gate (exercising the batch retry path); GateHoldMS holds every acquired
+// RenderErrorProb fails each cached render attempt (report, CSV, trace,
+// profile, fleet and scenario) with a 500 before the cache is consulted,
+// exercising the batch retry path; GateHoldMS holds every acquired
 // gate slot for the given time, simulating slow simulations to drive the
 // gate into saturation (and the degraded stale-serving path with it).
 type ServePlan struct {

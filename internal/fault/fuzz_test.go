@@ -47,7 +47,7 @@ func FuzzParsePlan(f *testing.F) {
 			if !errors.Is(err, ErrBadPlan) {
 				t.Fatalf("Brownouts error %v does not wrap ErrBadPlan\ninput: %q", err, data)
 			}
-		} else if n := len(b.Windows()); n > MaxWindows {
+		} else if n := len(b.windows); n > MaxWindows {
 			t.Fatalf("resolved %d windows > MaxWindows\ninput: %q", n, data)
 		}
 		enc, err := json.Marshal(p)

@@ -267,6 +267,10 @@ func TestParseSpec(t *testing.T) {
 		// keys (also reachable via the hemserved /api/v1/fleet/{spec} path).
 		"horizon=NaN", "epoch=nan", "step=NaN",
 		"horizon=Inf", "epoch=+Inf", "step=Infinity", "horizon=-Inf",
+		// A horizon that is not a whole number of steps: the kernel ran
+		// the partial last step in full, simulating 0.011 s while the
+		// report printed horizon=0.0105.
+		"n=1,horizon=0.0105,step=0.001", "horizon=0.0005,step=0.001",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)

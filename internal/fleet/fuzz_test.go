@@ -21,6 +21,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("horizon=NaN")
 	f.Add("n=1,horizon=0x1p-3")
 	f.Add("seed=9223372036854775807,step=5e-324")
+	f.Add("n=1,horizon=0.0105,step=0.001") // a partial last step: rejected
 	f.Fuzz(func(t *testing.T, text string) {
 		spec, err := ParseSpec(text)
 		if err != nil {

@@ -2,8 +2,12 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/prof"
 	"repro/internal/trace"
@@ -194,5 +198,56 @@ func TestFleetDarkTraceWithProfile(t *testing.T) {
 	}
 	if got := record(prof.New()); !reflect.DeepEqual(got, ref) {
 		t.Errorf("traced+profiled run recorded %d events, tracer-only %d; streams differ", len(got), len(ref))
+	}
+}
+
+// TestSimSecondsProperty is the engine's time property over small random
+// specs: an accepted spec either errors, or its profile books every node
+// for exactly the steps it stepped or skipped, and every node that did not
+// finish its job early for the whole horizon. Seconds compare at the ns
+// quantisation the exported profile allows. Horizons are drawn on and off
+// the step grid, so the partial-step rejection is exercised too.
+func TestSimSecondsProperty(t *testing.T) {
+	steps := []float64{1e-3, 5e-4, 2e-4, 1e-4, 2e-5}
+	property := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		step := steps[rng.Intn(len(steps))]
+		horizon := float64(1+rng.Intn(60)) * step
+		if rng.Intn(3) == 0 {
+			horizon += rng.Float64() * step
+		}
+		text := fmt.Sprintf("n=%d,seed=%d,horizon=%g,epoch=%g,step=%g,dark=%g",
+			1+rng.Intn(3), seed, horizon, horizon/float64(1+rng.Intn(4)), step, float64(rng.Intn(3))/4)
+		spec, err := ParseSpec(text)
+		if err != nil {
+			return true
+		}
+		cfg := spec.Config()
+		cfg.Profile = prof.New()
+		cfg.ProfileScope = "fleet"
+		_, res, err := run(cfg)
+		if err != nil {
+			return true
+		}
+		booked := make(map[string]float64)
+		for _, e := range cfg.Profile.Entries() {
+			booked[e.Scope.Node] = e.Ledger.TotalSeconds()
+		}
+		for i, sim := range res.Lanes {
+			pr := sim.Progress()
+			stepped := float64(pr.Steps) * spec.Step
+			if got := booked[nodeStream(i)]; math.Abs(got-stepped) > 1e-9 {
+				t.Logf("%s: node %d booked %.12g s for %d steps (%.12g s)", text, i, got, pr.Steps, stepped)
+				return false
+			}
+			if out := sim.Outcome(); !out.Completed && !out.Stopped && math.Abs(stepped-spec.Horizon) > 1e-9 {
+				t.Logf("%s: unfinished node %d stepped %.12g s, want the horizon", text, i, stepped)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/circuit"
 )
 
 // Spec is the canonical, fully-resolved description of a fleet run — the
@@ -110,8 +112,22 @@ func (s Spec) validate() error {
 		return fmt.Errorf("fleet: horizon, epoch and step must be positive and finite (horizon=%g epoch=%g step=%g)",
 			s.Horizon, s.Epoch, s.Step)
 	}
+	if !wholeSteps(s.Horizon, s.Step) {
+		return fmt.Errorf("fleet: horizon must be a whole number of steps (horizon=%g step=%g)", s.Horizon, s.Step)
+	}
 	if !(s.Dark >= 0 && s.Dark <= 1) { // rejects NaN too
 		return fmt.Errorf("fleet: dark must be in [0, 1], got %g", s.Dark)
 	}
 	return nil
+}
+
+// wholeSteps reports whether t spans a whole number of steps. The kernel
+// would simulate a partial last step in full, running every node past the
+// horizon the report names. Whole is the kernel's own count:
+// circuit.StepsFor snaps a quotient within 1e-12 (relative) of an integer
+// to it and rounds anything else up. A t over the step budget counts as
+// whole here; the kernel refuses it with the budget in its error.
+func wholeSteps(t, step float64) bool {
+	n, err := circuit.StepsFor(t, step)
+	return err != nil || math.Abs(t/step-float64(n)) <= float64(n)*1e-12
 }

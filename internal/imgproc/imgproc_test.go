@@ -1,12 +1,9 @@
 package imgproc
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -321,99 +318,5 @@ func BenchmarkProcessFrame(b *testing.B) {
 		if _, err := pipe.Process(im); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestPGMRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	im := Generate(rng, ClassChecker, 48, 32)
-	var buf bytes.Buffer
-	if err := im.WritePGM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadPGM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Width != 48 || back.Height != 32 {
-		t.Fatalf("dimensions %dx%d", back.Width, back.Height)
-	}
-	for i := range im.Pix {
-		if im.Pix[i] != back.Pix[i] {
-			t.Fatal("pixels corrupted in round trip")
-		}
-	}
-}
-
-func TestPGMWithComments(t *testing.T) {
-	data := "P5\n# a comment line\n2 2\n# another\n255\nABCD"
-	im, err := ReadPGM(strings.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.Width != 2 || im.Height != 2 || im.Pix[0] != 'A' || im.Pix[3] != 'D' {
-		t.Errorf("parsed %dx%d %v", im.Width, im.Height, im.Pix)
-	}
-}
-
-func TestPGMErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad magic":    "P2\n2 2\n255\nABCD",
-		"zero width":   "P5\n0 2\n255\n",
-		"huge maxval":  "P5\n2 2\n65535\nABCDEFGH",
-		"short pixels": "P5\n2 2\n255\nAB",
-		"non-numeric":  "P5\nx 2\n255\nABCD",
-		"empty":        "",
-	}
-	for name, data := range cases {
-		if _, err := ReadPGM(strings.NewReader(data)); !errors.Is(err, ErrBadPGM) {
-			t.Errorf("%s: got %v", name, err)
-		}
-	}
-	// Writing an inconsistent image errors.
-	bad := &Image{Width: 4, Height: 4, Pix: make([]uint8, 3)}
-	if err := bad.WritePGM(io.Discard); !errors.Is(err, ErrBadPGM) {
-		t.Errorf("inconsistent write: %v", err)
-	}
-}
-
-func TestEvaluateConfusionMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pipe, err := TrainDefaultPipeline(rng, 64, 64, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := Evaluate(rng, pipe, 64, 64, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Total != NumClasses*6 {
-		t.Errorf("total = %d", ev.Total)
-	}
-	if ev.Accuracy < 0.8 {
-		t.Errorf("accuracy %.2f, want >= 0.8", ev.Accuracy)
-	}
-	// Confusion rows sum to perClass; diagonal dominates.
-	for c := 0; c < NumClasses; c++ {
-		row := 0
-		for p := 0; p < NumClasses; p++ {
-			row += ev.Confusion[c][p]
-		}
-		if row != 6 {
-			t.Errorf("row %d sums to %d", c, row)
-		}
-		if ev.PerClass[c] < 0.5 {
-			t.Errorf("class %v recall %.2f, want >= 0.5", Class(c+1), ev.PerClass[c])
-		}
-	}
-	// The string report mentions every class name.
-	s := ev.String()
-	for class := Class(1); int(class) <= NumClasses; class++ {
-		if !strings.Contains(s, class.String()) {
-			t.Errorf("report missing class %v", class)
-		}
-	}
-	if _, err := Evaluate(rng, pipe, 64, 64, 0); err == nil {
-		t.Error("zero perClass accepted")
 	}
 }

@@ -6,8 +6,9 @@
 //
 // Design points, in the spirit of the trace and prof layers:
 //
-//   - zero dependencies: the exposition writer and the strict parser
-//     (expfmt.go) are standard library only;
+//   - zero dependencies: the exposition writer is standard library only,
+//     and so is the strict parser its tests check it with
+//     (expfmt_test.go);
 //   - hot-path updates are single atomics (Counter.Inc, Gauge.Set,
 //     Histogram.Observe) — no locks after the series exists;
 //   - label order is the declared order, and series export in sorted
@@ -392,7 +393,7 @@ func writeHistogram(w io.Writer, name string, names, values []string, h *Histogr
 
 // WriteText emits every family in registration order with one HELP and
 // one TYPE line each, series in sorted label order — the strict grammar
-// ParseExposition validates.
+// the tests' ParseExposition (expfmt_test.go) validates.
 func (r *Registry) WriteText(w io.Writer) {
 	r.mu.Lock()
 	fams := append([]*family(nil), r.families...)

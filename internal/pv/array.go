@@ -34,9 +34,6 @@ func NewArray(segments []*Cell) (*Array, error) {
 	return &Array{segments: segments}, nil
 }
 
-// Segments returns the number of series segments.
-func (a *Array) Segments() int { return len(a.segments) }
-
 // stringSolver caches per-segment open-circuit voltages and short-circuit
 // currents for one irradiance vector, so the nested bisections of the
 // public methods do not re-derive them at every probe. It also carries one

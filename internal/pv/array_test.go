@@ -23,8 +23,8 @@ func TestArrayValidation(t *testing.T) {
 		t.Error("empty array accepted")
 	}
 	a := newTestArray(t, 3)
-	if a.Segments() != 3 {
-		t.Errorf("segments = %d", a.Segments())
+	if len(a.segments) != 3 {
+		t.Errorf("segments = %d", len(a.segments))
 	}
 }
 

@@ -48,13 +48,6 @@ func (b *BatchSolver) Lane(i int) *SolverState {
 	return &b.states[i]
 }
 
-// Reset cold-starts every lane.
-func (b *BatchSolver) Reset() {
-	for i := range b.states {
-		b.states[i].Reset()
-	}
-}
-
 // grow ensures at least n lane states exist. New lanes are cold, which is
 // always valid (results never depend on state, only speed does).
 func (b *BatchSolver) grow(n int) {

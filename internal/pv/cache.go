@@ -185,13 +185,3 @@ func CacheStats() (hits, misses uint64) {
 func CacheCoalesced() uint64 {
 	return cacheCoalesced.Load()
 }
-
-// resetSolveCache empties the cache and counters (test hook).
-func resetSolveCache() {
-	solveCache.Range(func(k, _ any) bool { solveCache.Delete(k); return true })
-	curveCache.Range(func(k, _ any) bool { curveCache.Delete(k); return true })
-	atomic.StoreInt64(&cacheEntries, 0)
-	cacheHits.Store(0)
-	cacheMisses.Store(0)
-	cacheCoalesced.Store(0)
-}

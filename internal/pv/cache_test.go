@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -151,4 +152,14 @@ func BenchmarkMPPCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.MPP(FullSun)
 	}
+}
+
+// resetSolveCache empties the cache and counters (test hook).
+func resetSolveCache() {
+	solveCache.Range(func(k, _ any) bool { solveCache.Delete(k); return true })
+	curveCache.Range(func(k, _ any) bool { curveCache.Delete(k); return true })
+	atomic.StoreInt64(&cacheEntries, 0)
+	cacheHits.Store(0)
+	cacheMisses.Store(0)
+	cacheCoalesced.Store(0)
 }

@@ -160,10 +160,6 @@ type SolverState struct {
 	Fallbacks, BandEvals int
 }
 
-// Reset discards the stored operating point and zeroes the counters,
-// forcing the next solve to cold start.
-func (s *SolverState) Reset() { *s = SolverState{} }
-
 // CurrentWarm returns exactly Current(v, irradiance), reusing state to
 // warm-start the implicit solve. Transient simulators call it once per step
 // with a per-run state so consecutive solves converge in 1-2 Newton

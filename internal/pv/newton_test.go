@@ -79,10 +79,6 @@ func TestCurrentWarmTransientProfile(t *testing.T) {
 	if !warm.warm {
 		t.Error("solver state never warmed up over a smooth transient")
 	}
-	warm.Reset()
-	if warm.warm {
-		t.Error("Reset left the state warm")
-	}
 }
 
 // randomSolverCell draws a physically plausible calibration with wider

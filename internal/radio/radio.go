@@ -78,16 +78,6 @@ func (r *Radio) PacketAirtime(payloadBytes int) (float64, error) {
 	return r.startup + bits/r.bitrate, nil
 }
 
-// PacketEnergy returns the energy (J) one packet of the given payload size
-// costs.
-func (r *Radio) PacketEnergy(payloadBytes int) (float64, error) {
-	airtime, err := r.PacketAirtime(payloadBytes)
-	if err != nil {
-		return 0, err
-	}
-	return r.txPower * airtime, nil
-}
-
 // Packet is one scheduled transmission.
 type Packet struct {
 	Time         float64 // transmit start (s)
@@ -140,17 +130,4 @@ func (s *Schedule) Load(t float64) float64 {
 		}
 	}
 	return draw
-}
-
-// PeriodicSchedule builds a schedule transmitting one packet of the given
-// payload every `period` seconds from `start` until `end`.
-func (r *Radio) PeriodicSchedule(start, end, period float64, payloadBytes int) (*Schedule, error) {
-	if period <= 0 || end < start {
-		return nil, fmt.Errorf("%w: period=%g window=[%g, %g]", ErrBadPacket, period, start, end)
-	}
-	var packets []Packet
-	for t := start; t <= end; t += period {
-		packets = append(packets, Packet{Time: t, PayloadBytes: payloadBytes})
-	}
-	return r.NewSchedule(packets)
 }

@@ -22,11 +22,11 @@ func TestPacketAirtimeAndEnergy(t *testing.T) {
 	if math.Abs(airtime-want) > 1e-12 {
 		t.Errorf("airtime = %g, want %g", airtime, want)
 	}
-	e, err := r.PacketEnergy(50)
+	s, err := r.NewSchedule([]Packet{{PayloadBytes: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(e-9e-3*want) > 1e-15 {
+	if e := s.TotalEnergy(); math.Abs(e-9e-3*want) > 1e-15 {
 		t.Errorf("energy = %g", e)
 	}
 	if _, err := r.PacketAirtime(-1); !errors.Is(err, ErrBadPacket) {
@@ -43,8 +43,11 @@ func TestOptions(t *testing.T) {
 	if math.Abs(airtime-8*100/2e6) > 1e-15 {
 		t.Errorf("airtime = %g", airtime)
 	}
-	e, _ := r.PacketEnergy(100)
-	if math.Abs(e-20e-3*airtime) > 1e-15 {
+	s, err := r.NewSchedule([]Packet{{PayloadBytes: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := s.TotalEnergy(); math.Abs(e-20e-3*airtime) > 1e-15 {
 		t.Errorf("energy = %g", e)
 	}
 }
@@ -90,26 +93,15 @@ func TestOverlappingPacketsAdd(t *testing.T) {
 	}
 }
 
-func TestPeriodicSchedule(t *testing.T) {
-	r := New()
-	s, err := r.PeriodicSchedule(0, 1.0, 0.1, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perPacket, _ := r.PacketEnergy(20)
-	if math.Abs(s.TotalEnergy()-11*perPacket) > 1e-12 {
-		t.Errorf("total = %g, want 11 packets", s.TotalEnergy())
-	}
-	if _, err := r.PeriodicSchedule(0, 1, 0, 20); !errors.Is(err, ErrBadPacket) {
-		t.Errorf("zero period: %v", err)
-	}
-}
-
 func TestScheduleDrivesSimulatorAuxLoad(t *testing.T) {
 	// Transmit bursts must show up in the simulator's aux energy ledger and
 	// dent the storage node.
 	r := New(WithTXPower(15e-3))
-	sched, err := r.PeriodicSchedule(2e-3, 18e-3, 4e-3, 32)
+	var packets []Packet
+	for i := 0; i < 5; i++ {
+		packets = append(packets, Packet{Time: 2e-3 + float64(i)*4e-3, PayloadBytes: 32})
+	}
+	sched, err := r.NewSchedule(packets)
 	if err != nil {
 		t.Fatal(err)
 	}

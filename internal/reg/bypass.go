@@ -14,9 +14,6 @@ var _ Regulator = Bypass{}
 // small tolerance keeps sweep code that quantises voltages working.
 const bypassVoltageTolerance = 1e-6
 
-// NewBypass returns the pass-through pseudo-regulator.
-func NewBypass() Bypass { return Bypass{} }
-
 // Name implements Regulator.
 func (Bypass) Name() string { return "Bypass" }
 

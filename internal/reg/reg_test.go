@@ -8,7 +8,7 @@ import (
 )
 
 func allRegulators() []Regulator {
-	return []Regulator{NewLDO(), NewSC(), NewBuck(), NewBypass()}
+	return []Regulator{NewLDO(), NewSC(), NewBuck(), Bypass{}}
 }
 
 func TestEfficiencyBounds(t *testing.T) {
@@ -88,7 +88,7 @@ func TestSCScallops(t *testing.T) {
 	s := NewSC()
 	// Efficiency peaks just below each ratio's ideal output voltage.
 	vin := 1.2
-	for _, k := range s.Ratios() {
+	for _, k := range s.ratios {
 		ideal := k * vin
 		nearIdeal := s.Efficiency(vin, ideal*0.99, 10e-3)
 		midScallop := s.Efficiency(vin, ideal*0.80, 10e-3)
@@ -187,7 +187,7 @@ func TestBuckBelowSCAtLightLoad(t *testing.T) {
 }
 
 func TestBypass(t *testing.T) {
-	by := NewBypass()
+	by := Bypass{}
 	if eta := by.Efficiency(0.8, 0.8, 5e-3); eta != 1 {
 		t.Errorf("bypass eta = %g, want 1", eta)
 	}
@@ -268,7 +268,7 @@ func TestEfficiencyCurve(t *testing.T) {
 // Property: for every regulator, drawn input power is at least the load
 // power (no free energy) whenever the point is reachable.
 func TestQuickNoFreeEnergy(t *testing.T) {
-	regs := []Regulator{NewLDO(), NewSC(), NewBuck(), NewBypass()}
+	regs := []Regulator{NewLDO(), NewSC(), NewBuck(), Bypass{}}
 	f := func(ri uint8, vinRaw, voutRaw, poutRaw uint16) bool {
 		r := regs[int(ri)%len(regs)]
 		vin := 0.6 + float64(vinRaw)/65535*0.9
@@ -380,11 +380,8 @@ func TestBuckPFMImprovesLightLoad(t *testing.T) {
 }
 
 func TestNamesAndOptions(t *testing.T) {
-	if NewLDO().Name() != "LDO" || NewSC().Name() != "SC" || NewBuck().Name() != "Buck" || NewBypass().Name() != "Bypass" {
+	if NewLDO().Name() != "LDO" || NewSC().Name() != "SC" || NewBuck().Name() != "Buck" || (Bypass{}).Name() != "Bypass" {
 		t.Error("regulator names wrong")
-	}
-	if got := NewSC().FullLoadPower(); got != 10e-3 {
-		t.Errorf("SC full-load rating %g, want 10 mW", got)
 	}
 	// LDO options shape the model as documented.
 	l := NewLDO(WithLDODropout(0.2), WithLDOQuiescent(1e-3))

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/prof"
 	"repro/internal/trace"
@@ -124,6 +126,9 @@ func TestParseScenarioRejects(t *testing.T) {
 		`{"geometry":{"nodes":1000000000}}`,
 		`{"geometry":{"horizon_s":-2}}`,
 		`{"geometry":{"horizon_s":0.001,"step_s":1}}`, // step > horizon
+		// A partial last step: the kernel ran it in full, simulating
+		// 0.011 s of a 0.0105 s horizon.
+		`{"geometry":{"horizon_s":0.0105,"step_s":0.001}}`,
 	} {
 		if _, err := ParseScenario([]byte(bad)); err == nil {
 			t.Errorf("ParseScenario(%s) accepted", bad)
@@ -186,6 +191,70 @@ func TestStepBudgetLimit(t *testing.T) {
 		if _, err := Run(Config{Spec: spec}); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("%s: Run returned %v, want ErrBadSpec", name, err)
 		}
+	}
+}
+
+// TestSimSecondsProperty is the engine's time property over small random
+// specs: an accepted spec either errors, or its profile books every node
+// for exactly the steps it stepped or skipped (its circuit.run span's
+// duration), and every node that neither completed nor stopped for the
+// whole horizon. Seconds compare at the ns quantisation the exported
+// profile allows. Horizons are drawn on and off the step grid, so the
+// partial-step rejection is exercised too.
+func TestSimSecondsProperty(t *testing.T) {
+	steps := []float64{1e-3, 5e-4, 2e-4, 1e-4}
+	sources := []string{
+		`{"kind":"bench","level":%g}`,
+		`{"kind":"kinetic","rate_hz":40,"impulse":%g,"decay_s":0.002}`,
+	}
+	property := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		step := steps[rng.Intn(len(steps))]
+		horizon := float64(1+rng.Intn(60)) * step
+		if rng.Intn(3) == 0 {
+			horizon += rng.Float64() * step
+		}
+		text := fmt.Sprintf(`{"seed":%d,"source":`+sources[rng.Intn(len(sources))]+
+			`,"workload":{"job_cycles":%g,"aux_w":%g},"geometry":{"nodes":%d,"horizon_s":%g,"step_s":%g}}`,
+			seed, rng.Float64(), 1e5+rng.Float64()*5e6, rng.Float64()*1e-3, 1+rng.Intn(3), horizon, step)
+		spec, err := ParseScenario([]byte(text))
+		if err != nil {
+			return true
+		}
+		rec := trace.NewRecorder()
+		p := prof.New()
+		if _, err := Run(Config{Spec: spec, Tracer: rec, Profile: p, ProfileScope: "scenario"}); err != nil {
+			return true
+		}
+		booked := make(map[string]float64)
+		for _, e := range p.Entries() {
+			booked[e.Scope.Node] = e.Ledger.TotalSeconds()
+		}
+		ran := make(map[string]float64)
+		finished := make(map[string]bool)
+		for _, ev := range rec.Events() {
+			switch {
+			case ev.Kind == "circuit.run" && ev.Phase == trace.PhaseEnd:
+				ran[ev.Track] = ev.Args["duration_s"].(float64)
+			case ev.Kind == "circuit.complete" || ev.Kind == "circuit.stop":
+				finished[ev.Track] = true
+			}
+		}
+		for i := 0; i < spec.Geometry.Nodes; i++ {
+			node := nodeLabel(i)
+			if math.Abs(booked[node]-ran[node]) > 1e-9 {
+				t.Logf("%s: %s booked %.12g s, ran %.12g s", text, node, booked[node], ran[node])
+				return false
+			}
+			if !finished[node] && math.Abs(ran[node]-spec.Geometry.HorizonS) > 1e-9 {
+				t.Logf("%s: unfinished %s ran %.12g s, want the horizon", text, node, ran[node])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
 	}
 }
 

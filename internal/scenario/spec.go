@@ -337,8 +337,17 @@ func (s Spec) Validate() error {
 	}
 	// The kernel's step-budget limit, checked here so a spec that could
 	// never run is refused before its source is rendered.
-	if _, err := circuit.StepsFor(g.HorizonS, g.StepS); err != nil {
+	n, err := circuit.StepsFor(g.HorizonS, g.StepS)
+	if err != nil {
 		return fmt.Errorf("%w: geometry: %v", ErrBadSpec, err)
+	}
+	// A partial last step would be simulated in full, running every node
+	// past the horizon the report names. Whole is the kernel's own count:
+	// StepsFor snaps a quotient within 1e-12 (relative) of an integer to
+	// it and rounds anything else up.
+	if math.Abs(g.HorizonS/g.StepS-float64(n)) > float64(n)*1e-12 {
+		return fmt.Errorf("%w: geometry horizon %g is not a whole number of %g steps",
+			ErrBadSpec, g.HorizonS, g.StepS)
 	}
 	if n := g.HorizonS/g.StepS + 1; n > MaxSourceSamples {
 		return fmt.Errorf("%w: geometry horizon %g / step %g renders %.3g source samples, above %d",

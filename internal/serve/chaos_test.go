@@ -85,11 +85,25 @@ func TestChaosInjectedLatency(t *testing.T) {
 
 func TestChaosRenderFaultAndBatchRetry(t *testing.T) {
 	s, ts := newTestServer(t, Config{Chaos: true, Workers: 2})
-	// render_error_prob=1: the single-get path fails every attempt with an
-	// injected error (500), and the batch path exhausts its retries.
-	resp := chaosGet(t, ts.URL+"/api/v1/experiments/fig2", `{"serve":{"render_error_prob":1}}`)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Errorf("render fault on get: status %d, want 500", resp.StatusCode)
+	// render_error_prob=1: every cached render — report, CSV, trace and
+	// profile alike — fails each attempt with an injected error (500 with
+	// the error envelope), and the batch path exhausts its retries.
+	for _, path := range []string{
+		"/api/v1/experiments/fig2",
+		"/api/v1/experiments/fig2?format=csv",
+		"/api/v1/experiments/fig11b/trace",
+		"/api/v1/experiments/fig11b/profile",
+	} {
+		resp := chaosGet(t, ts.URL+path, `{"serve":{"render_error_prob":1}}`)
+		var env struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Errorf("render fault on %s: body: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(env.Error, "render fault") {
+			t.Errorf("render fault on %s: status %d, error %q; want 500 with the injected error", path, resp.StatusCode, env.Error)
+		}
 	}
 	req, err := http.NewRequest("POST", ts.URL+"/api/v1/experiments/batch",
 		strings.NewReader(`{"ids":["fig2"]}`))

@@ -54,23 +54,19 @@ func renderKey(id, format string) string {
 	return "report:" + id
 }
 
-// renderExperiment produces the cached response body for one experiment in
-// the requested format, running the cold render under the simulation gate.
-// The cache key is just the ID (per format): registry outputs are
-// deterministic. Under a chaos plan, an injected render fault fails the
-// attempt before the cache is consulted (so retries exercise the full
-// path) and an injected gate hold stretches the slot occupancy.
-func (s *Server) renderExperiment(r *http.Request, id, format string) ([]byte, error) {
-	render := expt.Render
-	if format == "csv" {
-		render = expt.RenderCSV
-	}
+// cachedRender returns the response body cached under key, running render
+// under the simulation gate on a miss. Every cached render is a
+// deterministic function of its key, so the body is cached as is. Under a
+// chaos plan, an injected render fault fails the attempt before the cache
+// is consulted (so retries exercise the full path) and an injected gate
+// hold stretches the slot occupancy.
+func (s *Server) cachedRender(r *http.Request, key string, render func() ([]byte, error)) ([]byte, error) {
 	if err := renderFault(r.Context()); err != nil {
 		return nil, err
 	}
-	return s.reports.get(renderKey(id, format), func() (body []byte, err error) {
+	return s.reports.get(key, func() (body []byte, err error) {
 		gateErr := s.gate.DoHeld(r.Context(), gateHold(r.Context()), func() error {
-			body, err = render(id)
+			body, err = render()
 			return nil
 		})
 		if gateErr != nil {
@@ -80,14 +76,32 @@ func (s *Server) renderExperiment(r *http.Request, id, format string) ([]byte, e
 	})
 }
 
-// renderExperimentRetry is renderExperiment with a bounded
-// exponential-backoff retry loop around transient, injected failures
-// (fault.ErrInjected). Real render errors — unknown IDs, summary-only
-// CSVs — are permanent and return immediately; retrying them would only
-// triple the latency of every 404.
-func (s *Server) renderExperimentRetry(r *http.Request, id, format string) ([]byte, error) {
+// serveCached writes cachedRender's body for key with the given content
+// type. When the gate was too saturated to render in time it falls back to
+// the last-known-good copy; other errors map onto the status contract.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, contentType string, render func() ([]byte, error)) {
+	body, err := s.cachedRender(r, key, render)
+	if err != nil {
+		stale, ok := s.serveStale(w, r, key, err)
+		if !ok {
+			writeExperimentError(w, r, err)
+			return
+		}
+		body = stale
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Write(body)
+}
+
+// renderExperimentRetry renders one experiment report through the cache
+// with a bounded exponential-backoff retry loop around transient, injected
+// failures (fault.ErrInjected). Real render errors — unknown IDs — are
+// permanent and return immediately; retrying them would only triple the
+// latency of every 404.
+func (s *Server) renderExperimentRetry(r *http.Request, id string) ([]byte, error) {
+	render := func() ([]byte, error) { return expt.Render(id) }
 	for attempt := 1; ; attempt++ {
-		body, err := s.renderExperiment(r, id, format)
+		body, err := s.cachedRender(r, renderKey(id, ""), render)
 		if err == nil || !errors.Is(err, fault.ErrInjected) || attempt >= renderRetries {
 			return body, err
 		}
@@ -120,28 +134,17 @@ func (s *Server) serveStale(w http.ResponseWriter, r *http.Request, key string, 
 func (s *Server) handleExperimentGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	format := r.URL.Query().Get("format")
-	if format != "" && format != "csv" && format != "text" {
+	render, contentType := expt.Render, "text/plain; charset=utf-8"
+	switch format {
+	case "", "text":
+		format = ""
+	case "csv":
+		render, contentType = expt.RenderCSV, "text/csv"
+	default:
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (want text or csv)", format))
 		return
 	}
-	if format == "text" {
-		format = ""
-	}
-	body, err := s.renderExperiment(r, id, format)
-	if err != nil {
-		stale, ok := s.serveStale(w, r, renderKey(id, format), err)
-		if !ok {
-			writeExperimentError(w, r, err)
-			return
-		}
-		body = stale
-	}
-	if format == "csv" {
-		w.Header().Set("Content-Type", "text/csv")
-	} else {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	}
-	w.Write(body)
+	s.serveCached(w, r, renderKey(id, format), contentType, func() ([]byte, error) { return render(id) })
 }
 
 // handleExperimentTrace serves one experiment's simulation events, JSONL
@@ -150,41 +153,18 @@ func (s *Server) handleExperimentGet(w http.ResponseWriter, r *http.Request) {
 // CapTrace map to 422 (ErrNoTrace), mirroring the CSV contract.
 func (s *Server) handleExperimentTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	format := r.URL.Query().Get("format")
-	traceFormat := trace.FormatJSONL
-	switch format {
+	traceFormat, contentType := trace.FormatJSONL, "application/x-ndjson"
+	switch format := r.URL.Query().Get("format"); format {
 	case "", "jsonl":
 	case "chrome":
-		traceFormat = trace.FormatChrome
+		traceFormat, contentType = trace.FormatChrome, "application/json"
 	default:
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (want jsonl or chrome)", format))
 		return
 	}
-	key := "trace:" + traceFormat + ":" + id
-	body, err := s.reports.get(key, func() (body []byte, err error) {
-		gateErr := s.gate.DoHeld(r.Context(), gateHold(r.Context()), func() error {
-			body, err = expt.RenderTrace(id, traceFormat)
-			return nil
-		})
-		if gateErr != nil {
-			return nil, gateErr
-		}
-		return body, err
+	s.serveCached(w, r, "trace:"+traceFormat+":"+id, contentType, func() ([]byte, error) {
+		return expt.RenderTrace(id, traceFormat)
 	})
-	if err != nil {
-		stale, ok := s.serveStale(w, r, key, err)
-		if !ok {
-			writeExperimentError(w, r, err)
-			return
-		}
-		body = stale
-	}
-	if traceFormat == trace.FormatChrome {
-		w.Header().Set("Content-Type", "application/json")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.Write(body)
 }
 
 // handleExperimentProfile serves one experiment's energy-flow profile as
@@ -194,27 +174,9 @@ func (s *Server) handleExperimentTrace(w http.ResponseWriter, r *http.Request) {
 // (ErrNoProfile), mirroring the trace contract.
 func (s *Server) handleExperimentProfile(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	key := "profile:" + id
-	body, err := s.reports.get(key, func() (body []byte, err error) {
-		gateErr := s.gate.DoHeld(r.Context(), gateHold(r.Context()), func() error {
-			body, err = expt.RenderProfile(id)
-			return nil
-		})
-		if gateErr != nil {
-			return nil, gateErr
-		}
-		return body, err
+	s.serveCached(w, r, "profile:"+id, "application/octet-stream", func() ([]byte, error) {
+		return expt.RenderProfile(id)
 	})
-	if err != nil {
-		stale, ok := s.serveStale(w, r, key, err)
-		if !ok {
-			writeExperimentError(w, r, err)
-			return
-		}
-		body = stale
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(body)
 }
 
 // Fleet request bounds: a spec is attacker-controlled sizing, so the
@@ -265,42 +227,19 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := renderFault(r.Context()); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	key := "fleet:" + spec.String()
-	body, err := s.reports.get(key, func() (body []byte, err error) {
-		gateErr := s.gate.DoHeld(r.Context(), gateHold(r.Context()), func() error {
-			cfg := spec.Config()
-			cfg.Workers = 1
-			// The request context cancels the run at the next epoch
-			// barrier, so an abandoned request frees its gate slot instead
-			// of simulating to the horizon.
-			cfg.Ctx = r.Context()
-			rep, runErr := fleet.Run(cfg)
-			if runErr != nil {
-				err = runErr
-				return nil
-			}
-			body, err = json.Marshal(rep)
-			return nil
-		})
-		if gateErr != nil {
-			return nil, gateErr
+	s.serveCached(w, r, "fleet:"+spec.String(), "application/json", func() ([]byte, error) {
+		cfg := spec.Config()
+		cfg.Workers = 1
+		// The request context cancels the run at the next epoch barrier,
+		// so an abandoned request frees its gate slot instead of
+		// simulating to the horizon.
+		cfg.Ctx = r.Context()
+		rep, err := fleet.Run(cfg)
+		if err != nil {
+			return nil, err
 		}
-		return body, err
+		return json.Marshal(rep)
 	})
-	if err != nil {
-		stale, ok := s.serveStale(w, r, key, err)
-		if !ok {
-			writeExperimentError(w, r, err)
-			return
-		}
-		body = stale
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
 }
 
 // batchRequest asks for several experiment reports in one round trip.
@@ -334,7 +273,7 @@ func (s *Server) handleExperimentsBatch(w http.ResponseWriter, r *http.Request) 
 	jobs := make([]runner.Job, len(ids))
 	for i, id := range ids {
 		jobs[i] = runner.Job{ID: id, Run: func(jw io.Writer) error {
-			body, err := s.renderExperimentRetry(r, id, "")
+			body, err := s.renderExperimentRetry(r, id)
 			if err != nil {
 				return err
 			}
